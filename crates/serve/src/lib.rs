@@ -111,7 +111,7 @@ use elzar_sim::{Component, Scheduler, TieBreak};
 use elzar_vm::{MachineConfig, Program};
 use gen::{shard_of, Request};
 use histogram::LatencyHistogram;
-use shard::{drain_shard, ShardDrain, ShardOutput, ShardRuntime, ShardStats};
+use shard::{boot_image, drain_shard, ShardDrain, ShardOutput, ShardRuntime, ShardStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -770,13 +770,14 @@ fn serve_static(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeC
         routed[shard_of(r.key, shards) as usize].push(r);
     }
 
+    let image = boot_image(prog, app, cfg);
     let workers = (cfg.workers.max(1) as usize).min(shards as usize);
     let next = AtomicUsize::new(0);
     let tagged: Vec<(usize, ShardOutput)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let next = &next;
-                let routed = &routed;
+                let (routed, image) = (&routed, &image);
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     loop {
@@ -784,7 +785,7 @@ fn serve_static(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeC
                         if s >= routed.len() {
                             return local;
                         }
-                        let out = drain_shard(prog, app, s as u32, shards, &routed[s], cfg);
+                        let out = drain_shard(image, app, s as u32, shards, &routed[s], cfg);
                         local.push((s, out));
                     }
                 })
@@ -819,8 +820,8 @@ fn serve_static_events(prog: &Program, app: &ServeApp, stream: &[Request], cfg: 
         routed[shard_of(r.key, shards) as usize].push(r);
     }
 
-    let mut runtimes: Vec<ShardRuntime> =
-        (0..shards).map(|id| ShardRuntime::boot(prog, app, cfg, id)).collect();
+    let image = boot_image(prog, app, cfg);
+    let mut runtimes: Vec<ShardRuntime> = (0..shards).map(|id| ShardRuntime::boot(&image, cfg, id)).collect();
     {
         let mut sched = Scheduler::new(tie_break(cfg));
         for (rt, reqs) in runtimes.iter_mut().zip(&routed) {
@@ -849,10 +850,11 @@ fn serve_static_events(prog: &Program, app: &ServeApp, stream: &[Request], cfg: 
 fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
     let start_shards = cfg.shards.clamp(1, cfg.shards_max.max(1));
     let mut partition = Partition::initial(start_shards);
+    let image = boot_image(prog, app, cfg);
     // Runtimes indexed by shard id; retired shards become `None` after
     // their stats are banked.
     let mut runtimes: Vec<Mutex<Option<ShardRuntime>>> =
-        (0..start_shards).map(|id| Mutex::new(Some(ShardRuntime::boot(prog, app, cfg, id)))).collect();
+        (0..start_shards).map(|id| Mutex::new(Some(ShardRuntime::boot(&image, cfg, id)))).collect();
     let mut active: Vec<u32> = (0..start_shards).collect();
     let mut banked: Vec<Option<ShardOutput>> = (0..start_shards).map(|_| None).collect();
     // Global committed log per partition slot, in commit order — only
@@ -1329,12 +1331,13 @@ fn serve_adaptive_events(
 ) -> ServeReport {
     let start_shards = cfg.shards.clamp(1, cfg.shards_max.max(1));
     let interval = cfg.control_interval.max(1) as usize;
+    let image = boot_image(prog, app, cfg);
     let mut sys = EpochSys {
         app,
         cfg,
         stream,
         partition: Partition::initial(start_shards),
-        runtimes: (0..start_shards).map(|id| Some(ShardRuntime::boot(prog, app, cfg, id))).collect(),
+        runtimes: (0..start_shards).map(|id| Some(ShardRuntime::boot(&image, cfg, id))).collect(),
         active: (0..start_shards).collect(),
         banked: (0..start_shards).map(|_| None).collect(),
         log: (0..PARTITION_SLOTS).map(|_| Vec::new()).collect(),

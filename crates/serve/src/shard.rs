@@ -6,12 +6,13 @@
 //!
 //! ## Execution model
 //!
-//! A `ShardRuntime` boots once (`init_entry` preloads resident state
-//! — e.g. the KV table — into the machine's memory), then serves routed
-//! requests in arrival order, fed either all at once (the static path)
-//! or one controller epoch at a time (the elastic path). Time is
-//! *virtual*: the VM's cycle counts drive a serial queue model, so
-//! results are independent of host threads and wall-clock.
+//! A `ShardRuntime` boots once from the serve call's boot image (one
+//! run of `init_entry`, which preloads resident state — e.g. the KV
+//! table — into the machine's memory, cloned per shard), then serves
+//! routed requests in arrival order, fed either all at once (the
+//! static path) or one controller epoch at a time (the elastic path).
+//! Time is *virtual*: the VM's cycle counts drive a serial queue model,
+//! so results are independent of host threads and wall-clock.
 //!
 //! ## Batching
 //!
@@ -376,15 +377,24 @@ fn table_digest_of(m: &Machine<'_>, app: &ServeApp) -> u64 {
     h
 }
 
+/// Run the init entry once (preloads resident state): the machine every
+/// shard of one serve call boots from. Init takes no input and never
+/// sees the shard id, so each shard clones this image instead of
+/// re-running init — the result is bit-identical.
+pub(crate) fn boot_image<'p>(prog: &'p Program, app: &ServeApp, cfg: &ServeConfig) -> Machine<'p> {
+    let mut mc = cfg.machine;
+    mc.fault = None;
+    let mut m = Machine::start(prog, app.init_entry, &[], mc);
+    let outcome = m.run_to_completion();
+    assert!(matches!(outcome, RunOutcome::Exited(_)), "shard init must exit cleanly, got {outcome:?}");
+    m
+}
+
 impl<'p, 'a> ShardRuntime<'p, 'a> {
-    /// Boot a fresh shard: run the init entry (preloads resident
-    /// state), take the free boot snapshot.
-    pub fn boot(prog: &'p Program, app: &ServeApp, cfg: &ServeConfig, shard: u32) -> ShardRuntime<'p, 'a> {
-        let mut mc = cfg.machine;
-        mc.fault = None;
-        let mut m = Machine::start(prog, app.init_entry, &[], mc);
-        let outcome = m.run_to_completion();
-        assert!(matches!(outcome, RunOutcome::Exited(_)), "shard init must exit cleanly, got {outcome:?}");
+    /// Boot a fresh shard from the serve call's [`boot_image`] and take
+    /// the free boot snapshot.
+    pub fn boot(image: &Machine<'p>, cfg: &ServeConfig, shard: u32) -> ShardRuntime<'p, 'a> {
+        let m = image.clone();
         let snap = m.clone();
         // The boot standby is cloned before traffic, like the boot
         // snapshot: free.
@@ -1059,17 +1069,18 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
     }
 }
 
-/// Boot shard `shard` and drain its routed `requests` in arrival order
-/// — the static serving path (a [`ShardRuntime`] fed once).
+/// Boot shard `shard` from `image` and drain its routed `requests` in
+/// arrival order — the static serving path (a [`ShardRuntime`] fed
+/// once).
 pub(crate) fn drain_shard(
-    prog: &Program,
+    image: &Machine<'_>,
     app: &ServeApp,
     shard: u32,
     shards: u32,
     requests: &[&Request],
     cfg: &ServeConfig,
 ) -> ShardOutput {
-    let mut rt = ShardRuntime::boot(prog, app, cfg, shard);
+    let mut rt = ShardRuntime::boot(image, cfg, shard);
     rt.feed(requests, app, cfg);
     rt.into_output(app, &|key| shard_of(key, shards) == shard)
 }

@@ -16,12 +16,26 @@
 //!
 //! Although the *semantics* are a single zero-initialized flat array,
 //! the *representation* is segmented: each region is backed by its own
-//! vector that grows on first write, and per-thread stacks materialize
-//! on first touch. Untouched bytes read as zero, exactly as the flat
-//! array did. This keeps a `Memory` clone proportional to the bytes a
-//! program actually used — the key enabler for the fault-injection
-//! campaign's checkpoint sharing, which snapshots the whole machine at
-//! every injection point instead of re-executing the prefix.
+//! vector that grows on first write. Untouched bytes read as zero,
+//! exactly as the flat array did. This keeps a `Memory` clone
+//! proportional to the bytes a program actually used — the key enabler
+//! for the fault-injection campaign's checkpoint sharing, which
+//! snapshots the whole machine at every injection point instead of
+//! re-executing the prefix.
+//!
+//! Each thread's `STACK_SIZE` stack chunk grows *down*, as the stack
+//! does: it is backed only from the page holding its lowest written
+//! byte up to the stack top (growing in whole pages, at least doubling
+//! each time), and everything below reads as zero. A request served on
+//! a resident machine therefore clones and resets the few pages its
+//! frames used, not 2 MiB per thread. [`Memory::reset_stacks`] zeroes
+//! the backed range in place and keeps it for the next invocation.
+//!
+//! [`Memory::resident_bytes`] — the *virtual* snapshot-cost basis the
+//! serving runtime charges — is independent of this representation: it
+//! counts the segment lengths plus a full `STACK_SIZE` for every stack
+//! chunk written since the last reset, as when chunks were materialized
+//! whole.
 
 use std::fmt;
 
@@ -37,6 +51,8 @@ pub const STACK_SIZE: u64 = 2 * 1024 * 1024;
 pub const DEFAULT_MEM_SIZE: u64 = 0x1000_0000; // 256 MB
 /// Lowest mapped address (end of the null page).
 const LOW_BASE: u64 = 0x1000;
+/// Growth granule of a stack chunk's backing.
+const STACK_PAGE: usize = 4096;
 
 /// Faults detected by the machine ("OS-detected" outcomes in Table I).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,13 +110,41 @@ pub struct Memory {
     input: Vec<u8>,
     /// `[HEAP_BASE, stacks_base)` — grows on write.
     heap: Vec<u8>,
-    /// `[stacks_base, size)`, one `STACK_SIZE` chunk per thread slot,
-    /// materialized (fully) on first touch.
-    stacks: Vec<Option<Box<[u8]>>>,
+    /// `[stacks_base, size)`, one `STACK_SIZE` chunk per thread slot.
+    stacks: Vec<Stack>,
     stacks_base: u64,
     size: u64,
     heap_next: u64,
     heap_limit: u64,
+}
+
+/// One thread's stack chunk, backed from a page boundary up to its top.
+#[derive(Clone, Default)]
+struct Stack {
+    /// The top `bytes.len()` bytes of the chunk (a whole number of
+    /// pages); the bytes below them read as zero.
+    bytes: Vec<u8>,
+    /// Written since creation or the last [`Memory::reset_stacks`].
+    touched: bool,
+}
+
+impl Stack {
+    /// Offset within the chunk of the lowest backed byte.
+    #[inline]
+    fn low(&self) -> usize {
+        STACK_SIZE as usize - self.bytes.len()
+    }
+
+    /// Back the chunk down to (at least) offset `off`, growing by whole
+    /// pages and at least doubling, so a deepening stack is copied
+    /// O(log) times.
+    fn grow_down(&mut self, off: usize) {
+        let need = STACK_SIZE as usize - off / STACK_PAGE * STACK_PAGE;
+        let len = need.max(2 * self.bytes.len()).min(STACK_SIZE as usize);
+        let mut grown = vec![0u8; len];
+        grown[len - self.bytes.len()..].copy_from_slice(&self.bytes);
+        self.bytes = grown;
+    }
 }
 
 /// Which backing segment an address falls into.
@@ -130,7 +174,7 @@ impl Memory {
             globals: globals.to_vec(),
             input: input.to_vec(),
             heap: Vec::new(),
-            stacks: vec![None; max_threads as usize],
+            stacks: vec![Stack::default(); max_threads as usize],
             stacks_base: size - stacks,
             size,
             heap_next: HEAP_BASE,
@@ -143,15 +187,17 @@ impl Memory {
         self.size
     }
 
-    /// Drop all materialized per-thread stacks, so they read as zero
-    /// again. Used by [`crate::Machine::reenter`]: stacks are
+    /// Zero every per-thread stack in place, so it reads as zero again,
+    /// and mark it untouched. The backing stays allocated for the next
+    /// invocation. Used by [`crate::Machine::reenter`]: stacks are
     /// per-invocation scratch, and letting a new entry observe the
     /// previous invocation's stack bytes would make execution depend on
     /// which requests ran on the machine before — exactly the history
     /// dependence the serving runtime's determinism contract excludes.
     pub fn reset_stacks(&mut self) {
-        for s in &mut self.stacks {
-            *s = None;
+        for s in self.stacks.iter_mut().filter(|s| s.touched) {
+            s.bytes.fill(0);
+            s.touched = false;
         }
     }
 
@@ -210,11 +256,15 @@ impl Memory {
         self.stack_top(tid) - STACK_SIZE
     }
 
-    /// Bytes currently materialized across all segments (diagnostic;
-    /// roughly the cost of cloning this memory).
+    /// Resident bytes under the snapshot cost model: the length of
+    /// every grown segment plus `STACK_SIZE` for each stack chunk
+    /// written since the last [`Memory::reset_stacks`]. The serving
+    /// runtime charges virtual snapshot cycles from this value, so it
+    /// does not follow the host representation (a stack chunk's backing
+    /// is usually a few pages).
     pub fn resident_bytes(&self) -> u64 {
-        let stacks: usize = self.stacks.iter().flatten().map(|c| c.len()).sum();
-        (self.low.len() + self.globals.len() + self.input.len() + self.heap.len() + stacks) as u64
+        let stacks = self.stacks.iter().filter(|s| s.touched).count() as u64 * STACK_SIZE;
+        (self.low.len() + self.globals.len() + self.input.len() + self.heap.len()) as u64 + stacks
     }
 
     /// Bump-allocate `size` heap bytes (32-byte aligned).
@@ -259,11 +309,20 @@ impl Memory {
         }
     }
 
-    /// End (exclusive) of the region containing `addr`.
+    /// End (exclusive) of the run of bytes containing `addr` that one
+    /// [`Memory::backing`] call describes: the region end, except below
+    /// a stack chunk's backed range, whose run of zeros ends where the
+    /// backing starts.
     fn region_end(&self, addr: u64) -> u64 {
         if addr >= self.stacks_base {
-            let chunk = (addr - self.stacks_base) / STACK_SIZE;
-            self.stacks_base + (chunk + 1) * STACK_SIZE
+            let off = addr - self.stacks_base;
+            let chunk_base = self.stacks_base + off / STACK_SIZE * STACK_SIZE;
+            let low = self.stacks[(off / STACK_SIZE) as usize].low() as u64;
+            if off % STACK_SIZE < low {
+                chunk_base + low
+            } else {
+                chunk_base + STACK_SIZE
+            }
         } else if addr >= HEAP_BASE {
             self.stacks_base
         } else if addr >= INPUT_BASE {
@@ -275,8 +334,9 @@ impl Memory {
         }
     }
 
-    /// Immutable view of the backing bytes for the region containing
-    /// `addr` (may be shorter than the region — the rest reads as 0).
+    /// Immutable view of the backing bytes from `addr` on, and `addr`'s
+    /// offset in it (the view may end before [`Memory::region_end`] —
+    /// the rest reads as 0).
     #[inline]
     fn backing(&self, addr: u64) -> (&[u8], usize) {
         match self.region_of(addr) {
@@ -284,10 +344,13 @@ impl Memory {
             Region::Globals => (&self.globals, (addr - GLOBAL_BASE) as usize),
             Region::Input => (&self.input, (addr - INPUT_BASE) as usize),
             Region::Heap => (&self.heap, (addr - HEAP_BASE) as usize),
-            Region::Stack(chunk, off) => match &self.stacks[chunk] {
-                Some(c) => (&c[..], off),
-                None => (&[], off),
-            },
+            Region::Stack(chunk, off) => {
+                let s = &self.stacks[chunk];
+                match off.checked_sub(s.low()) {
+                    Some(o) => (&s.bytes, o),
+                    None => (&[], 0),
+                }
+            }
         }
     }
 
@@ -325,9 +388,13 @@ impl Memory {
                 (&mut self.heap, off)
             }
             Region::Stack(chunk, off) => {
-                let c = self.stacks[chunk]
-                    .get_or_insert_with(|| vec![0u8; STACK_SIZE as usize].into_boxed_slice());
-                (&mut c[..], off)
+                let s = &mut self.stacks[chunk];
+                if off < s.low() {
+                    s.grow_down(off);
+                }
+                s.touched = true;
+                let low = s.low();
+                (&mut s.bytes, off - low)
             }
         }
     }
@@ -393,7 +460,10 @@ impl Memory {
             let n = remaining.min(self.region_end(a) - a);
             let (b, off) = self.backing(a);
             let have = b.len().saturating_sub(off).min(n as usize);
-            out.extend_from_slice(&b[off..off + have]);
+            // `off` may lie past the backing's end: slice only when bytes exist.
+            if have > 0 {
+                out.extend_from_slice(&b[off..off + have]);
+            }
             // Unmaterialized bytes read as zero.
             out.resize(out.len() + (n as usize - have), 0);
             a += n;
@@ -441,40 +511,6 @@ impl Memory {
         Ok(std::cmp::Ordering::Equal)
     }
 
-    /// Borrow a byte range. Narrower than [`Memory::load`]'s address
-    /// space: the range must lie within one backing region *and*
-    /// already be materialized, since an immutable borrow cannot grow
-    /// the backing. For arbitrary valid ranges (crossing regions or
-    /// touching never-written zero bytes) use [`Memory::read_into`] /
-    /// [`Memory::cmp_ranges`] / [`Memory::fill`] instead.
-    ///
-    /// # Errors
-    /// Traps on out-of-range access.
-    pub fn slice(&self, addr: u64, len: u64) -> Result<&[u8], Trap> {
-        self.check(addr, len)?;
-        if addr + len > self.region_end(addr) {
-            return Err(Trap::Segfault(addr));
-        }
-        let (b, off) = self.backing(addr);
-        if off + len as usize > b.len() {
-            return Err(Trap::Segfault(addr));
-        }
-        Ok(&b[off..off + len as usize])
-    }
-
-    /// Mutably borrow a byte range (must lie within one region).
-    ///
-    /// # Errors
-    /// Traps on out-of-range access.
-    pub fn slice_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], Trap> {
-        self.check(addr, len)?;
-        if addr + len > self.region_end(addr) {
-            return Err(Trap::Segfault(addr));
-        }
-        let (b, off) = self.backing_mut(addr, len as usize);
-        Ok(&mut b[off..off + len as usize])
-    }
-
     /// memmove-style copy (handles overlap).
     ///
     /// # Errors
@@ -514,6 +550,7 @@ impl fmt::Debug for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elzar_rng::DetRng;
 
     fn mem() -> Memory {
         Memory::new(DEFAULT_MEM_SIZE, &[1, 2, 3, 4], &[9, 9], 4)
@@ -632,5 +669,228 @@ mod tests {
             m.cmp_ranges(HEAP_BASE + (1 << 21), HEAP_BASE + (1 << 20), 64).unwrap(),
             std::cmp::Ordering::Equal
         );
+    }
+
+    #[test]
+    fn stack_backing_grows_down_in_pages_and_resets_in_place() {
+        let mut m = mem();
+        let top = m.size();
+        // Thread 0's stack is the chunk at the top of memory.
+        let t = m.stacks.len() - 1;
+        m.store(top - 8, 8, 7).unwrap();
+        assert_eq!((m.stacks[t].bytes.len(), m.stacks[t].touched), (STACK_PAGE, true));
+        // Loads below the backed range read zero and do not grow it.
+        assert_eq!(m.load(top - 3 * STACK_PAGE as u64, 8).unwrap(), 0);
+        assert_eq!(m.stacks[t].bytes.len(), STACK_PAGE);
+        m.store(top - 10_000, 4, 9).unwrap();
+        assert_eq!(m.stacks[t].bytes.len(), 3 * STACK_PAGE);
+        assert_eq!(m.load(top - 10_000, 4).unwrap(), 9);
+        assert_eq!(m.load(top - 8, 8).unwrap(), 7);
+        let resident = m.resident_bytes();
+        m.reset_stacks();
+        assert_eq!(m.resident_bytes(), resident - STACK_SIZE);
+        assert_eq!((m.stacks[t].bytes.len(), m.stacks[t].touched), (3 * STACK_PAGE, false));
+        assert!(m.stacks[t].bytes.iter().all(|&b| b == 0));
+    }
+
+    /// The memory model the segmented representation must reproduce:
+    /// one zero-initialized byte array, plus the stack chunks written
+    /// since the last reset (for the resident-bytes formula).
+    #[derive(Clone)]
+    struct Flat {
+        bytes: Vec<u8>,
+        stacks_base: u64,
+        touched: Vec<bool>,
+    }
+
+    impl Flat {
+        fn new(m: &Memory, globals: &[u8], input: &[u8]) -> Flat {
+            let mut bytes = vec![0u8; m.size() as usize];
+            bytes[GLOBAL_BASE as usize..][..globals.len()].copy_from_slice(globals);
+            bytes[INPUT_BASE as usize..][..input.len()].copy_from_slice(input);
+            Flat { bytes, stacks_base: m.stacks_base, touched: vec![false; m.stacks.len()] }
+        }
+
+        fn check(&self, addr: u64, len: u64) -> Result<(), Trap> {
+            match addr.checked_add(len) {
+                Some(end) if addr >= LOW_BASE && end <= self.bytes.len() as u64 => Ok(()),
+                _ => Err(Trap::Segfault(addr)),
+            }
+        }
+
+        fn range(&self, addr: u64, len: u64) -> std::ops::Range<usize> {
+            addr as usize..(addr + len) as usize
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) {
+            let r = self.range(addr, data.len() as u64);
+            self.bytes[r].copy_from_slice(data);
+            for a in [addr, addr + data.len() as u64 - 1] {
+                if a >= self.stacks_base {
+                    self.touched[((a - self.stacks_base) / STACK_SIZE) as usize] = true;
+                }
+            }
+        }
+
+        fn load(&self, addr: u64, size: u32) -> Result<u64, Trap> {
+            self.check(addr, u64::from(size))?;
+            let b = &self.bytes[self.range(addr, u64::from(size))];
+            Ok(b.iter().rev().fold(0, |v, &x| v << 8 | u64::from(x)))
+        }
+
+        fn store(&mut self, addr: u64, size: u32, val: u64) -> Result<(), Trap> {
+            self.check(addr, u64::from(size))?;
+            self.write(addr, &val.to_le_bytes()[..size as usize]);
+            Ok(())
+        }
+
+        fn fill(&mut self, addr: u64, byte: u8, len: u64) -> Result<(), Trap> {
+            self.check(addr, len)?;
+            if len > 0 {
+                self.write(addr, &vec![byte; len as usize]);
+            }
+            Ok(())
+        }
+
+        fn copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
+            self.check(src, len)?;
+            self.check(dst, len)?;
+            if len > 0 {
+                let buf = self.bytes[self.range(src, len)].to_vec();
+                self.write(dst, &buf);
+            }
+            Ok(())
+        }
+
+        fn read_into(&self, out: &mut Vec<u8>, addr: u64, len: u64) -> Result<(), Trap> {
+            self.check(addr, len)?;
+            out.extend_from_slice(&self.bytes[self.range(addr, len)]);
+            Ok(())
+        }
+
+        fn cmp_ranges(&self, a: u64, b: u64, len: u64) -> Result<std::cmp::Ordering, Trap> {
+            self.check(a, len)?;
+            self.check(b, len)?;
+            Ok(self.bytes[self.range(a, len)].cmp(&self.bytes[self.range(b, len)]))
+        }
+
+        fn reset_stacks(&mut self) {
+            let base = self.stacks_base as usize;
+            self.bytes[base..].fill(0);
+            self.touched.fill(false);
+        }
+    }
+
+    /// The pre-page-backing formula: segment lengths plus a whole
+    /// `STACK_SIZE` per stack chunk written since the last reset.
+    fn old_resident_bytes(m: &Memory, flat: &Flat) -> u64 {
+        let segments = m.low.len() + m.globals.len() + m.input.len() + m.heap.len();
+        segments as u64 + flat.touched.iter().filter(|&&t| t).count() as u64 * STACK_SIZE
+    }
+
+    /// A seeded address near one of the layout's interesting spots:
+    /// segment starts, region boundaries, the chunk boundary between
+    /// the two stacks, stack tops (where frames live and the backing's
+    /// low-water mark moves) and the very top of memory.
+    fn hot_addr(rng: &mut DetRng, m: &Memory) -> u64 {
+        let top = m.size();
+        let near = |rng: &mut DetRng, at: u64, span: u64| at - span + rng.below(2 * span);
+        match rng.below(9) {
+            0 => LOW_BASE + rng.below(64),
+            1 => GLOBAL_BASE + rng.below(96),
+            2 => near(rng, HEAP_BASE, 24),
+            3 => HEAP_BASE + rng.below(8192),
+            4 => near(rng, m.stacks_base, 24),
+            5 => near(rng, m.stack_top(1), 24),
+            6 => m.stack_top(1) - 1 - rng.below(6 * STACK_PAGE as u64),
+            7 => {
+                let depth = if rng.below(16) == 0 { STACK_SIZE } else { 5 * STACK_PAGE as u64 };
+                top - 1 - rng.below(depth)
+            }
+            _ => top - rng.below(24),
+        }
+    }
+
+    /// Apply `ops` random operations to `m` and its model, asserting
+    /// every result (values, bytes and traps) agrees.
+    fn drive(rng: &mut DetRng, m: &mut Memory, flat: &mut Flat, ops: usize) {
+        for _ in 0..ops {
+            let a = hot_addr(rng, m);
+            let b = hot_addr(rng, m);
+            let len = if rng.below(4) == 0 { rng.below(9000) } else { rng.below(300) };
+            let size = 1 << rng.below(4);
+            match rng.below(6) {
+                0 => {
+                    let v = rng.next_u64();
+                    assert_eq!(m.store(a, size, v), flat.store(a, size, v), "store {a:#x}/{size}");
+                }
+                1 => assert_eq!(m.load(a, size), flat.load(a, size), "load {a:#x}/{size}"),
+                2 => {
+                    let byte = rng.next_u32() as u8;
+                    assert_eq!(m.fill(a, byte, len), flat.fill(a, byte, len), "fill {a:#x}+{len}");
+                }
+                3 => assert_eq!(m.copy(a, b, len), flat.copy(a, b, len), "copy {b:#x}->{a:#x}+{len}"),
+                4 => {
+                    let (mut got, mut want) = (vec![1, 2], vec![1, 2]);
+                    let (r, w) = (m.read_into(&mut got, a, len), flat.read_into(&mut want, a, len));
+                    assert_eq!(r, w, "read_into {a:#x}+{len}");
+                    if r.is_ok() {
+                        assert!(got == want, "read_into {a:#x}+{len} bytes");
+                    }
+                }
+                _ => {
+                    assert_eq!(m.cmp_ranges(a, b, len), flat.cmp_ranges(a, b, len), "cmp {a:#x} {b:#x}+{len}")
+                }
+            }
+            assert_eq!(m.resident_bytes(), old_resident_bytes(m, flat));
+        }
+    }
+
+    /// Every byte from the null page's end to the top of memory that
+    /// the operations can reach, read back through the public API.
+    fn assert_same_bytes(m: &Memory, flat: &Flat) {
+        let windows = [
+            (LOW_BASE, 4096),
+            (GLOBAL_BASE, 4096),
+            (INPUT_BASE, 4096),
+            (HEAP_BASE - 4096, 16384),
+            (m.stacks_base - 4096, m.size() - m.stacks_base + 4096),
+        ];
+        for (at, len) in windows {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            m.read_into(&mut got, at, len).unwrap();
+            flat.read_into(&mut want, at, len).unwrap();
+            assert!(got == want, "bytes differ in window at {at:#x}");
+        }
+    }
+
+    #[test]
+    fn memory_matches_flat_reference_across_resets_and_clones() {
+        let size = HEAP_BASE + 2 * STACK_SIZE + 0x1_0000;
+        for seed in 0..3 {
+            let mut rng = DetRng::seed_from_u64(0xF1A7 + seed);
+            let globals: Vec<u8> = (0..48).map(|_| rng.next_u32() as u8).collect();
+            let input: Vec<u8> = (0..24).map(|_| rng.next_u32() as u8).collect();
+            let mut m = Memory::new(size, &globals, &input, 2);
+            let mut flat = Flat::new(&m, &globals, &input);
+            drive(&mut rng, &mut m, &mut flat, 1500);
+            assert_same_bytes(&m, &flat);
+            m.reset_stacks();
+            flat.reset_stacks();
+            assert_eq!(m.resident_bytes(), old_resident_bytes(&m, &flat));
+            assert_same_bytes(&m, &flat);
+            drive(&mut rng, &mut m, &mut flat, 1500);
+            // A clone and its original then take different operations
+            // (one of them resets its stacks): each must match its own
+            // model, so neither sees the other's writes.
+            let (mut m2, mut flat2) = (m.clone(), flat.clone());
+            let mut rng2 = DetRng::seed_from_u64(0xC10E + seed);
+            drive(&mut rng, &mut m, &mut flat, 1000);
+            m2.reset_stacks();
+            flat2.reset_stacks();
+            drive(&mut rng2, &mut m2, &mut flat2, 1000);
+            assert_same_bytes(&m, &flat);
+            assert_same_bytes(&m2, &flat2);
+        }
     }
 }
