@@ -4,13 +4,13 @@
 //! penalty in the core model.
 
 /// Gshare predictor with a global history register.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BranchPredictor {
-    table: Vec<u8>, // 2-bit counters
     history: u64,
     mask: u64,
     predictions: u64,
     misses: u64,
+    table: Vec<u8>, // 2-bit counters
 }
 
 impl BranchPredictor {

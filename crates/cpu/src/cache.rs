@@ -13,7 +13,7 @@ const EMPTY_TAG: u64 = u64::MAX;
 type Way = (u64, u64);
 
 /// Set/tag decomposition of an address for one cache geometry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Geometry {
     ways: usize,
     line_shift: u32,
@@ -72,7 +72,7 @@ fn access_set(set: &mut [Way], tag: u64, tick: u64) -> bool {
 }
 
 /// Access clock and hit/miss counts of one cache level.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 struct Stats {
     tick: u64,
     hits: u64,
@@ -112,11 +112,11 @@ impl Stats {
 /// Ways are stored in one flat `(tag, last_used_tick)` array — a single
 /// allocation with the whole set in adjacent memory — instead of one
 /// heap vector per set.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Cache {
-    ways_flat: Vec<Way>, // sets × ways
     geo: Geometry,
     stats: Stats,
+    ways_flat: Vec<Way>, // sets × ways
 }
 
 impl Cache {
@@ -162,7 +162,7 @@ impl Cache {
 }
 
 /// Latency parameters of the hierarchy (cycles).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheLatencies {
     /// L1D hit.
     pub l1: u32,
@@ -195,11 +195,15 @@ const CHUNK_SETS: usize = 64;
 /// that chunk. Clone cost follows the sets touched since the last clone,
 /// not the size of the cache; hits and misses are exactly a flat
 /// [`Cache`]'s.
-#[derive(Clone, Debug)]
+///
+/// Equality compares contents. A chunk two clones still share compares
+/// in O(1): `Arc`'s `PartialEq` short-cuts on pointer equality when the
+/// contents are `Eq`.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SharedL3 {
-    chunks: Vec<Arc<[Way]>>,
     geo: Geometry,
     stats: Stats,
+    chunks: Vec<Arc<[Way]>>,
 }
 
 impl SharedL3 {
@@ -232,7 +236,7 @@ impl SharedL3 {
 
 /// Per-core L1D + L2 with a handle-free interface: the caller passes the
 /// shared L3 on each access.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CoreCaches {
     l1: Cache,
     l2: Cache,

@@ -12,7 +12,7 @@ use crate::cache::{CoreCaches, SharedL3};
 use crate::cost::InstClass;
 
 /// Tunable core parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CoreConfig {
     /// Instructions fetched/renamed per cycle.
     pub fetch_width: u32,
@@ -65,20 +65,24 @@ impl Counters {
 }
 
 /// One simulated core (one hardware context per software thread).
-#[derive(Clone, Debug)]
+///
+/// Equality compares the whole timing state: clocks, ports, counters,
+/// caches and predictor (the scalars are declared first so a derived
+/// comparison of two diverged cores stops before the cache arrays).
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Core {
     cfg: CoreConfig,
-    caches: CoreCaches,
-    pred: BranchPredictor,
+    cycles: u64,
+    seq: u64,
+    counters: Counters,
     port_free: [u64; 8],
     fetch_base_cycle: u64,
     fetch_base_seq: u64,
     /// `log2(fetch_width)` — the per-instruction fetch-cycle divide is
     /// a shift (fetch width must be a power of two).
     fetch_shift: u32,
-    seq: u64,
-    cycles: u64,
-    counters: Counters,
+    pred: BranchPredictor,
+    caches: CoreCaches,
 }
 
 impl Default for Core {

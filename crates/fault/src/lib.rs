@@ -18,6 +18,14 @@
 //! | `Masked`         | fault did not affect the output       | Correct   |
 //! | `Sdc`            | silent data corruption in the output  | Corrupted |
 //!
+//! The campaign driver ([`run_plans`]) interprets the fault-free prefix
+//! once per campaign: all workers branch their injections off one shared
+//! base machine that advances in ascending injection order. Each
+//! injected run carries a fault-free twin for its first rounds and is
+//! classified early once its whole machine state equals the twin's
+//! ([`PlanOutcome::converged`]). Outcomes are exactly those of
+//! re-interpreting every run from the start, for any worker count.
+//!
 //! ```
 //! use elzar::{build, Mode};
 //! use elzar_fault::{run_campaign, CampaignConfig};
@@ -49,7 +57,7 @@ use elzar_obs::debug;
 use elzar_rng::DetRng;
 use elzar_vm::{run_program, FaultPlan, Machine, MachineConfig, Program, RunOutcome, RunResult};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Fault-injection outcome (Table I).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -126,16 +134,11 @@ pub struct CampaignConfig {
     /// Base machine configuration (threads inside the VM etc.).
     pub machine: MachineConfig,
     /// Share the pre-injection prefix between runs via machine
-    /// checkpoints instead of re-interpreting it per run. Outcomes are
-    /// identical either way (execution is deterministic); this is a
-    /// pure wall-clock optimization, on by default.
+    /// checkpoints instead of re-interpreting it per run, and stop a run
+    /// early once it re-converges with the fault-free execution.
+    /// Outcomes are identical either way (execution is deterministic);
+    /// this is a pure wall-clock optimization, on by default.
     pub share_prefixes: bool,
-    /// Advance checkpoint bases on the `elzar_sim` discrete-event core
-    /// (the default): each fault-free round is a scheduled wake-up at
-    /// the base machine's cycle count. `false` runs the legacy
-    /// hand-rolled while-loop — kept for one PR so the old-vs-new
-    /// equality test can pin both paths outcome-identical.
-    pub event_core: bool,
 }
 
 impl Default for CampaignConfig {
@@ -147,7 +150,6 @@ impl Default for CampaignConfig {
             hang_factor: 20,
             machine: MachineConfig::default(),
             share_prefixes: true,
-            event_core: true,
         }
     }
 }
@@ -161,6 +163,10 @@ pub struct CampaignResult {
     pub eligible: u64,
     /// Golden-run cycles.
     pub golden_cycles: u64,
+    /// Injections classified early, at re-convergence with the
+    /// fault-free execution (see [`PlanOutcome::converged`]). A pure
+    /// function of the program and the plans, like `counts`.
+    pub converged: u64,
 }
 
 impl CampaignResult {
@@ -191,6 +197,18 @@ impl CampaignResult {
     fn record(&mut self, o: Outcome) {
         self.counts[o.index()] += 1;
     }
+}
+
+/// One executed fault plan: its Table-I outcome and how it was reached.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PlanOutcome {
+    /// The Table-I outcome.
+    pub outcome: Outcome,
+    /// The run was classified without running to its end: a few rounds
+    /// after the flip its whole machine state equalled a fault-free
+    /// twin's, so its remainder is the golden run's. Deterministic, and
+    /// only ever set for `Masked` and `ElzarCorrected` outcomes.
+    pub converged: bool,
 }
 
 /// Reference execution data.
@@ -244,11 +262,12 @@ pub fn classify(golden: &GoldenRun, faulty: &RunResult) -> Outcome {
     }
 }
 
-/// Run a prepared machine under one fault plan and classify it against
-/// `golden`. This is *the* single-run injector — the campaign driver
-/// (from-scratch and checkpointed paths) and the serving runtime's
-/// online injection all funnel through it, so there is exactly one
-/// definition of "inject a fault and classify the outcome".
+/// Run a prepared machine under one fault plan to completion and
+/// classify it against `golden`. The campaign driver's from-scratch path
+/// and the serving runtime's online injection funnel through it; the
+/// campaign's checkpointed path arms the machine the same way and
+/// classifies with the same [`classify`], but may stop early at
+/// re-convergence ([`run_plans`]).
 ///
 /// `m` must be positioned strictly before eligible instruction `index`
 /// (a fresh [`Machine::start`], a campaign checkpoint clone, or a
@@ -289,12 +308,22 @@ pub fn inject_probe<'p>(
     bit: u32,
     hang_factor: u64,
 ) -> (Outcome, RunResult, Machine<'p>) {
-    m.set_fault(Some(FaultPlan { index, bit }));
-    m.set_step_limit(golden.steps.saturating_mul(hang_factor).saturating_add(100_000));
+    arm(&mut m, golden, index, bit, hang_factor);
     let outcome = m.run_to_completion();
     let r = m.result(outcome);
     let o = classify(golden, &r);
     (o, r, m)
+}
+
+/// Install the fault plan `(index, bit)` and the hang budget on `m`.
+fn arm(m: &mut Machine<'_>, golden: &GoldenRun, index: u64, bit: u32, hang_factor: u64) {
+    m.set_fault(Some(FaultPlan { index, bit }));
+    m.set_step_limit(hang_budget(golden, hang_factor));
+}
+
+/// Retired instructions after which an injected run counts as hung.
+fn hang_budget(golden: &GoldenRun, hang_factor: u64) -> u64 {
+    golden.steps.saturating_mul(hang_factor).saturating_add(100_000)
 }
 
 /// Inject one fault at eligible instruction `index` (1-based), flipping
@@ -426,8 +455,8 @@ pub fn sample_plans(seed: u64, eligible: u64, runs: u32) -> Vec<(u64, u32)> {
 ///
 /// Determinism contract: the outcome histogram (and every per-run
 /// outcome) is a pure function of `(program, input, seed, runs)`.
-/// `workers` only changes wall-clock time — workers pull plan indices
-/// from a shared counter and write outcomes back by index, so serial
+/// `workers` only changes wall-clock time — workers claim plans in a
+/// fixed order and write outcomes back by index, so serial
 /// (`workers == 1`) and parallel campaigns are bit-identical.
 ///
 /// Callers that already hold the reference execution (e.g. a build
@@ -453,7 +482,7 @@ pub fn run_campaign_with_golden(
 ) -> CampaignResult {
     let plans = sample_plans(cfg.seed, golden.eligible, cfg.runs);
     let mut result =
-        CampaignResult { counts: [0; 5], eligible: golden.eligible, golden_cycles: golden.cycles };
+        CampaignResult { eligible: golden.eligible, golden_cycles: golden.cycles, ..Default::default() };
     if plans.is_empty() {
         return result;
     }
@@ -466,73 +495,116 @@ pub fn run_campaign_with_golden(
             cfg.seed
         )
     });
-    for o in run_plans(prog, input, golden, &plans, cfg) {
-        result.record(o);
+    for p in run_plans(prog, input, golden, &plans, cfg) {
+        result.record(p.outcome);
+        result.converged += u64::from(p.converged);
     }
     debug::emit("fault", || {
         let c = result.counts;
-        format!("campaign done: hang={} os={} corrected={} masked={} sdc={}", c[0], c[1], c[2], c[3], c[4])
+        format!(
+            "campaign done: hang={} os={} corrected={} masked={} sdc={} converged={}",
+            c[0], c[1], c[2], c[3], c[4], result.converged
+        )
     });
     result
 }
 
+/// Rounds after a checkpoint clone at which an injected run is compared
+/// with its fault-free twin: 1, 2, 4, ... up to this cap, where the twin
+/// is dropped and the run continues alone. On the Figure 13 campaign
+/// every observed re-convergence happened by round 16.
+const TWIN_ROUND_CAP: u32 = 32;
+
 /// Execute the given fault plans and return per-plan outcomes in plan
 /// order, fanned out over `cfg.workers` OS threads.
 ///
-/// With `cfg.share_prefixes` (the default) each worker advances one
-/// *base* machine through the fault-free execution and branches a
-/// checkpoint clone off it per plan, so a plan only pays for the
-/// execution *after* its injection point; otherwise every plan
-/// re-interprets the whole program from the start. The two strategies
-/// produce identical outcomes — the machine is deterministic and a
-/// clone resumes exactly where the original stood.
+/// With `cfg.share_prefixes` (the default) the campaign interprets the
+/// fault-free prefix once. All workers share one *base* machine behind a
+/// lock; a worker claims the next plan in ascending injection order while
+/// holding it, advances the base to just below that plan's injection
+/// point and branches a checkpoint clone off it, then runs the injection
+/// outside the lock. So the base only moves forward, and a plan only
+/// pays for the execution *after* its injection point.
+///
+/// Each checkpointed run also carries a fault-free twin, a second clone
+/// of the base, advanced round for round beside it. At rounds 1, 2, 4,
+/// ... (up to a fixed cap) after the flip has fired, the two whole
+/// machine states are compared ([`Machine::state_matches`]). If they are
+/// equal, the faulty run's remainder is the golden run's, so it is
+/// classified at once: `ElzarCorrected` if it has recorded corrections,
+/// `Masked` otherwise ([`PlanOutcome::converged`]).
+///
+/// Without `share_prefixes` every plan re-interprets the whole program
+/// from the start. The strategies produce identical outcomes — the
+/// machine is deterministic, a clone resumes exactly where the original
+/// stood, and equal states have equal futures.
 pub fn run_plans(
     prog: &Program,
     input: &[u8],
     golden: &GoldenRun,
     plans: &[(u64, u32)],
     cfg: &CampaignConfig,
-) -> Vec<Outcome> {
+) -> Vec<PlanOutcome> {
     if plans.is_empty() {
         return Vec::new();
     }
     let workers = (cfg.workers.max(1) as usize).min(plans.len());
-    // Process plans in ascending injection order so a worker's base
+    // Process plans in ascending injection order so the shared base
     // machine only ever advances; scatter outcomes back to plan order.
     let mut order: Vec<usize> = (0..plans.len()).collect();
     if cfg.share_prefixes {
         order.sort_by_key(|&i| plans[i].0);
     }
-    let next = AtomicUsize::new(0);
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; plans.len()];
-    let tagged: Vec<(usize, Outcome)> = std::thread::scope(|scope| {
+    // The next position in `order`, and the shared fault-free base.
+    let claims: Mutex<(usize, Option<Machine>)> = Mutex::new((0, None));
+    let mut outcomes: Vec<Option<PlanOutcome>> = vec![None; plans.len()];
+    let tagged: Vec<(usize, PlanOutcome)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
+                let claims = &claims;
                 let order = &order;
                 scope.spawn(move || {
                     let mut local = Vec::new();
-                    let mut base: Option<Machine> = None;
                     loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= order.len() {
+                        let mut guard = claims.lock().expect("a campaign worker panicked");
+                        let (next, base) = &mut *guard;
+                        let Some(&i) = order.get(*next) else {
+                            // Every plan is claimed: free the base now,
+                            // not after the last injection.
+                            *base = None;
                             return local;
-                        }
-                        let i = order[k];
-                        let (index, bit) = plans[i];
+                        };
+                        *next += 1;
                         // Checkpointing requires a reachable injection
                         // point; hand-built plans outside
                         // `1..=golden.eligible` (where the fault can
                         // never fire) take the plain path instead.
-                        let o = if cfg.share_prefixes && (1..=golden.eligible).contains(&index) {
-                            let m = base.get_or_insert_with(|| {
+                        let reachable = (1..=golden.eligible).contains(&plans[i].0);
+                        let checkpoint = (cfg.share_prefixes && reachable).then(|| {
+                            let base = base.get_or_insert_with(|| {
                                 let mut mc = cfg.machine;
                                 mc.fault = None;
                                 Machine::start(prog, "main", input, mc)
                             });
-                            inject_from_checkpoint(m, golden, index, bit, cfg.hang_factor, cfg.event_core)
-                        } else {
-                            inject_once(prog, input, golden, index, bit, &cfg.machine, cfg.hang_factor)
+                            advance_base(base, plans[i].0);
+                            base.clone()
+                        });
+                        drop(guard);
+                        let (index, bit) = plans[i];
+                        let o = match checkpoint {
+                            Some(m) => inject_converging(m, golden, index, bit, cfg.hang_factor),
+                            None => PlanOutcome {
+                                outcome: inject_once(
+                                    prog,
+                                    input,
+                                    golden,
+                                    index,
+                                    bit,
+                                    &cfg.machine,
+                                    cfg.hang_factor,
+                                ),
+                                converged: false,
+                            },
                         };
                         local.push((i, o));
                     }
@@ -547,76 +619,58 @@ pub fn run_plans(
     outcomes.into_iter().map(|o| o.expect("every plan executed")).collect()
 }
 
-/// Advance `base` (a fault-free execution) to just below the injection
-/// point, then branch a clone that carries the fault to completion.
+/// Advance `base` (a fault-free execution) by whole rounds while the
+/// next round provably cannot reach eligible instruction `index`.
 ///
-/// `base` must not have crossed eligible instruction `index` yet, and
-/// `index` must satisfy `1 <= index <= golden.eligible` — both
-/// guaranteed by the caller, which visits plans in ascending `index`
-/// order (the base is only ever advanced while the *next* round
-/// provably cannot reach the current plan's index) and routes
+/// `base` must not have crossed `index` yet, and `index` must satisfy
+/// `1 <= index <= golden.eligible` — both guaranteed by the caller,
+/// which visits plans in ascending `index` order and routes
 /// out-of-range plans to [`inject_once`].
-fn inject_from_checkpoint(
-    base: &mut Machine,
+fn advance_base(base: &mut Machine<'_>, index: u64) {
+    while base.eligible_so_far() + base.eligible_round_bound() < index {
+        if base.run_round().is_some() {
+            unreachable!("base finished with eligible < plan index <= golden.eligible");
+        }
+    }
+    debug_assert!(base.eligible_so_far() < index);
+}
+
+/// Inject `(index, bit)` into the checkpoint clone `m` and classify the
+/// run, stopping early if it re-converges with a fault-free twin.
+///
+/// The twin is a clone of `m` taken before the fault is armed; both run
+/// one round per step. Equal states at the same round boundary have
+/// equal futures, and the twin's future is the golden run's remainder,
+/// which adds no corrections and exits at `golden.steps` — within the
+/// faulty run's hang budget, or no twin is taken. So a converged run
+/// exits with the golden output, and only `ElzarCorrected` or `Masked`
+/// is possible.
+fn inject_converging(
+    mut m: Machine<'_>,
     golden: &GoldenRun,
     index: u64,
     bit: u32,
     hang_factor: u64,
-    event_core: bool,
-) -> Outcome {
-    if event_core {
-        // The event core: each fault-free round is a wake-up at the
-        // base machine's current cycle count; the component goes
-        // quiescent once the next round could reach the injection
-        // point. Round-for-round identical to the legacy loop below
-        // (pinned by `checkpoint_advancement_is_core_invariant`).
-        let mut sched = elzar_sim::Scheduler::new(elzar_sim::TieBreak::Canonical);
-        sched.add(CheckpointAdvance { base: &mut *base, target: index });
-        sched.run(&mut ());
-    } else {
-        while base.eligible_so_far() + base.eligible_round_bound() < index {
-            if base.run_round().is_some() {
-                unreachable!("base finished with eligible < plan index <= golden.eligible");
-            }
+) -> PlanOutcome {
+    let mut twin = (golden.steps <= hang_budget(golden, hang_factor)).then(|| m.clone());
+    arm(&mut m, golden, index, bit, hang_factor);
+    let mut round = 0u32;
+    let outcome = loop {
+        if let Some(o) = m.run_round() {
+            break o;
         }
-    }
-    debug_assert!(base.eligible_so_far() < index);
-    inject_one(base.clone(), golden, index, bit, hang_factor).0
-}
-
-/// The campaign driver's checkpoint advancement as an `elzar_sim`
-/// component: virtual time is the base machine's own cycle count, one
-/// tick per fault-free interpreter round, quiescent as soon as the
-/// next round's eligible-instruction bound could cross the target
-/// injection index.
-struct CheckpointAdvance<'m, 'p> {
-    base: &'m mut Machine<'p>,
-    target: u64,
-}
-
-impl elzar_sim::Component<()> for CheckpointAdvance<'_, '_> {
-    fn label(&self) -> &'static str {
-        "campaign checkpoint advance"
-    }
-
-    fn next_tick(&self) -> u64 {
-        let bound = elzar_sim::vt_add(
-            "campaign checkpoint eligibility",
-            self.base.eligible_so_far(),
-            self.base.eligible_round_bound(),
-        );
-        if bound < self.target {
-            self.base.cycles_so_far()
-        } else {
-            elzar_sim::NEVER
+        let Some(g) = twin.as_mut() else { continue };
+        round += 1;
+        if g.run_round().is_some() {
+            twin = None;
+        } else if round.is_power_of_two() && m.eligible_so_far() >= index && m.state_matches(g) {
+            let outcome = if m.corrections_so_far() > 0 { Outcome::ElzarCorrected } else { Outcome::Masked };
+            return PlanOutcome { outcome, converged: true };
+        } else if round >= TWIN_ROUND_CAP {
+            twin = None;
         }
-    }
-
-    fn tick(&mut self, _now: u64, _sys: &mut ()) {
-        if self.base.run_round().is_some() {
-            unreachable!("base finished with eligible < plan index <= golden.eligible");
-        }
-    }
+    };
+    PlanOutcome { outcome: classify(golden, &m.result(outcome)), converged: false }
 }
 
 #[cfg(test)]
@@ -681,27 +735,30 @@ mod tests {
         assert_eq!(a.counts, b.counts);
     }
 
-    /// Old-vs-new checkpoint advancement: the legacy while-loop and
-    /// the `elzar_sim` scheduled component must advance base machines
-    /// identically, so campaign outcomes are bit-identical across the
-    /// two cores (and across prefix sharing, which exercises both the
-    /// checkpoint and the from-scratch paths).
+    /// The checkpointed driver (one shared base advanced by whole
+    /// rounds, early stop at re-convergence) must agree with
+    /// re-interpreting every run from the start, and with itself across
+    /// worker counts: counts, eligibility and golden cycles.
     #[test]
     fn checkpoint_advancement_is_core_invariant() {
         let prog = build(&kernel(), &Mode::elzar_default());
-        let run = |event_core: bool, share_prefixes: bool| {
+        let run = |share_prefixes: bool, workers: u32| {
             run_campaign(
                 &prog,
                 &[],
-                &CampaignConfig { runs: 40, seed: 11, event_core, share_prefixes, ..Default::default() },
+                &CampaignConfig { runs: 40, seed: 11, share_prefixes, workers, ..Default::default() },
             )
         };
-        let new = run(true, true);
-        let old = run(false, true);
-        assert_eq!(new.counts, old.counts, "event-core checkpoint advancement changed outcomes");
-        assert_eq!((new.eligible, new.golden_cycles), (old.eligible, old.golden_cycles));
-        let scratch = run(true, false);
-        assert_eq!(new.counts, scratch.counts, "prefix sharing changed outcomes");
+        let serial = run(true, 1);
+        for (share_prefixes, workers) in [(true, 3), (false, 1), (false, 3)] {
+            let other = run(share_prefixes, workers);
+            assert_eq!(serial.counts, other.counts, "share_prefixes={share_prefixes} workers={workers}");
+            assert_eq!(
+                (serial.eligible, serial.golden_cycles),
+                (other.eligible, other.golden_cycles),
+                "share_prefixes={share_prefixes} workers={workers}"
+            );
+        }
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl RunResult {
 }
 
 /// A runtime value: GPR or YMM contents.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RtVal {
     /// Scalar (canonical zero-extended bits).
     S(u64),
@@ -185,6 +185,19 @@ struct Frame<'p> {
     term: &'p LTerm,
 }
 
+impl Frame<'_> {
+    /// Field-wise equality for [`Machine::state_matches`]. The cached
+    /// `lf`/`insts`/`term` references follow from `func` and `block`.
+    fn state_matches(&self, twin: &Frame<'_>) -> bool {
+        let Frame { func, block, prev_block, ip, slots, ready, ret_dst, sp_save, lf: _, insts: _, term: _ } =
+            self;
+        (*func, *block, *prev_block, *ip, *ret_dst, *sp_save)
+            == (twin.func, twin.block, twin.prev_block, twin.ip, twin.ret_dst, twin.sp_save)
+            && *slots == twin.slots
+            && *ready == twin.ready
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TState {
     Ready,
@@ -203,7 +216,18 @@ struct ThreadCtx<'p> {
     result: u64,
 }
 
-#[derive(Clone)]
+impl ThreadCtx<'_> {
+    /// Field-wise equality for [`Machine::state_matches`].
+    fn state_matches(&self, twin: &ThreadCtx<'_>) -> bool {
+        let ThreadCtx { frames, core, sp, stack_limit, state, result } = self;
+        (*sp, *stack_limit, *state, *result) == (twin.sp, twin.stack_limit, twin.state, twin.result)
+            && frames.len() == twin.frames.len()
+            && frames.iter().zip(&twin.frames).all(|(a, b)| a.state_matches(b))
+            && *core == twin.core
+    }
+}
+
+#[derive(Clone, PartialEq, Eq)]
 struct LockInfo {
     owner: Option<u32>,
     release: u64,
@@ -214,7 +238,7 @@ struct LockInfo {
 /// so a dense vector with linear lookup beats hashing: the common case
 /// is a hit within the first few entries, with no hashing, no pointer
 /// chasing and deterministic iteration for free.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 struct LockTable {
     entries: Vec<(u64, LockInfo)>,
 }
@@ -244,7 +268,7 @@ impl LockTable {
 /// start slot. The table is cleared when it reaches the same bound the
 /// previous `HashMap` version enforced, which keeps memory bounded and
 /// is deterministic (clearing only forgets stale serialization points).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 struct AtomicTable {
     keys: Vec<u64>,
     vals: Vec<(u32, u64)>,
@@ -580,6 +604,12 @@ impl<'p> Machine<'p> {
         self.eligible
     }
 
+    /// ELZAR corrections performed so far ([`RunResult::corrections`]
+    /// without materializing a result).
+    pub fn corrections_so_far(&self) -> u64 {
+        self.corrections
+    }
+
     /// Upper bound on how many *additional* eligible instructions the
     /// next [`Machine::run_round`] can execute (every live thread gets
     /// at most one quantum, and at most every instruction is eligible).
@@ -595,6 +625,85 @@ impl<'p> Machine<'p> {
     /// Replace the retired-instruction budget.
     pub fn set_step_limit(&mut self, limit: u64) {
         self.cfg.step_limit = limit;
+    }
+
+    /// Does this machine hold the same execution state as `twin`, so
+    /// that from here on both retire the same instructions at the same
+    /// cycles and produce the same output?
+    ///
+    /// The fault campaign uses this to stop an injected run once it has
+    /// re-converged with a fault-free twin cloned at the same point.
+    /// Every field takes part except four:
+    ///
+    /// * the fault plan, once it can no longer fire on either side (its
+    ///   index is at or below `eligible`, which only grows). A plan that
+    ///   can still fire makes the states unequal;
+    /// * the step limit, which only decides where a run is cut off: the
+    ///   caller must know both runs end within both budgets;
+    /// * the correction count, which never feeds back into execution;
+    /// * the phi scratch buffer, cleared before every use.
+    ///
+    /// The comparison is conservative. A representation difference that
+    /// reads the same (a stack backed deeper, an atomics table filled in
+    /// another order) compares unequal; states that differ in anything
+    /// but the four fields above never compare equal.
+    pub fn state_matches(&self, twin: &Machine<'_>) -> bool {
+        // Exhaustive destructures: a new field fails to compile here
+        // until it is classified. Cheap fields are compared first,
+        // memory and the L3 last.
+        let Machine {
+            prog,
+            cfg,
+            mem,
+            threads,
+            l3,
+            locks,
+            atomics,
+            output,
+            corrections: _,
+            eligible,
+            steps,
+            heartbeats,
+            heartbeat_cycles,
+            input_len,
+            phi_scratch: _,
+            backend,
+            kern,
+        } = self;
+        let MachineConfig {
+            mem_size,
+            max_threads,
+            threads: sim_threads,
+            quantum,
+            step_limit: _,
+            fault,
+            recovery,
+            engine,
+        } = cfg;
+        let spent = |plan: Option<FaultPlan>| plan.is_none_or(|p| p.index <= *eligible);
+        std::ptr::eq(*prog, twin.prog)
+            && *steps == twin.steps
+            && *eligible == twin.eligible
+            && (*fault == twin.cfg.fault || spent(*fault) && spent(twin.cfg.fault))
+            && (*mem_size, *max_threads, *sim_threads, *quantum, *recovery, *engine)
+                == (
+                    twin.cfg.mem_size,
+                    twin.cfg.max_threads,
+                    twin.cfg.threads,
+                    twin.cfg.quantum,
+                    twin.cfg.recovery,
+                    twin.cfg.engine,
+                )
+            && (*heartbeats, *input_len, *backend) == (twin.heartbeats, twin.input_len, twin.backend)
+            && std::ptr::eq(*kern, twin.kern)
+            && *output == twin.output
+            && *heartbeat_cycles == twin.heartbeat_cycles
+            && threads.len() == twin.threads.len()
+            && threads.iter().zip(&twin.threads).all(|(a, b)| a.state_matches(b))
+            && *locks == twin.locks
+            && *atomics == twin.atomics
+            && *mem == twin.mem
+            && *l3 == twin.l3
     }
 
     /// Aggregate result of the current invocation *without* consuming
@@ -2781,5 +2890,183 @@ mod tests {
             assert_eq!(outcomes[0], outcomes[1], "fault @{index}: reference vs trace-scalar");
             assert_eq!(outcomes[0], outcomes[2], "fault @{index}: reference vs trace-simd");
         }
+    }
+
+    /// A two-thread program touching every kind of machine state: a
+    /// global, a heap buffer, a stack slot, a mutex, an atomic, output
+    /// and heartbeats.
+    fn state_probe_module() -> (Module, u64) {
+        let mut m = Module::new("state");
+        let g = crate::memory::GLOBAL_BASE + m.alloc_global(64) as u64;
+        let (mutex, ctr) = (c64(g as i64), c64(g as i64 + 8));
+        let mut w = FuncBuilder::new("worker", vec![Ty::I64], Ty::I64);
+        w.counted_loop(c64(0), c64(400), |b, i| {
+            b.critical_section(mutex.clone(), |b| {
+                let v = b.load(Ty::I64, ctr.clone());
+                let v2 = b.add(v, i);
+                b.store(Ty::I64, v2, ctr.clone());
+            });
+            b.atomic_rmw(elzar_ir::RmwOp::Add, Ty::I64, c64(g as i64 + 16), c64(1));
+        });
+        w.ret(c64(0));
+        let wid = m.add_func(w.finish());
+        let mut b = FuncBuilder::new("main", vec![], Ty::I64);
+        let buf = b.call_builtin(Builtin::Malloc, vec![c64(256)], Ty::Ptr).unwrap();
+        let acc = b.alloca(Ty::I64, c64(1));
+        b.store(Ty::I64, c64(0), acc);
+        let t = b.call_builtin(Builtin::Spawn, vec![c64(wid.0 as i64), c64(0)], Ty::I64).unwrap();
+        b.counted_loop(c64(0), c64(400), |b, i| {
+            let p = b.gep(buf, i, 8);
+            b.store(Ty::I64, i, p);
+            let a = b.load(Ty::I64, acc);
+            let s = b.add(a, i);
+            b.store(Ty::I64, s, acc);
+            b.call_builtin(Builtin::OutputI64, vec![s.into()], Ty::Void);
+            b.call_builtin(Builtin::Heartbeat, vec![], Ty::Void);
+        });
+        b.call_builtin(Builtin::Join, vec![t.into()], Ty::I64).unwrap();
+        b.ret(c64(0));
+        m.add_func(b.finish());
+        (m, g)
+    }
+
+    /// Flip the low bit of the byte at `addr`.
+    fn flip_byte(m: &mut Machine, addr: u64) {
+        let v = m.mem.load(addr, 1).unwrap();
+        m.mem.store(addr, 1, v ^ 1).unwrap();
+    }
+
+    #[test]
+    fn state_matches_is_strict() {
+        let (module, g) = state_probe_module();
+        let prog = Program::lower(&module);
+        let cfg = MachineConfig { threads: 2, ..MachineConfig::default() };
+        let mut base = Machine::start(&prog, "main", &[], cfg);
+        for _ in 0..4 {
+            assert_eq!(base.run_round(), None, "the probe must still be running");
+        }
+        assert_eq!(base.threads.len(), 2);
+        assert!(base.heartbeats > 0 && !base.output.is_empty());
+        assert!(base.state_matches(&base.clone()), "a machine mid-run must match its clone");
+        let heap = crate::memory::HEAP_BASE;
+        let top = base.mem.stack_top(0) - 1;
+        let cold = 0x7700_0000;
+        type Perturb = Box<dyn Fn(&mut Machine)>;
+        let perturbations: Vec<(&str, Perturb)> = vec![
+            (
+                "slot value",
+                Box::new(|m: &mut Machine| {
+                    let fr = m.threads[0].frames.last_mut().unwrap();
+                    fr.slots[0] = flip(fr.slots[0], 0, 64);
+                }),
+            ),
+            (
+                "ready cycle",
+                Box::new(|m: &mut Machine| m.threads[0].frames.last_mut().unwrap().ready[0] += 1),
+            ),
+            ("globals byte", Box::new(move |m: &mut Machine| flip_byte(m, g + 8))),
+            ("heap byte", Box::new(move |m: &mut Machine| flip_byte(m, heap + 8))),
+            ("stack byte", Box::new(move |m: &mut Machine| flip_byte(m, top))),
+            (
+                "L1 access",
+                // Thread 0 just wrote its heap buffer: an L1 hit.
+                Box::new(move |m: &mut Machine| {
+                    m.threads[0].core.retire_mem(InstClass::Load, &[], heap, &mut m.l3);
+                }),
+            ),
+            (
+                "L2 access",
+                // Nine lines in one L1 set evict the first from L1 but
+                // not from L2; the measured access is the L2 hit.
+                Box::new(move |m: &mut Machine| {
+                    let line = |k: u64| heap + 0x10_0000 + k * 4096;
+                    let mut warm = m.clone();
+                    for k in 0..9 {
+                        warm.threads[0].core.retire_mem(InstClass::Load, &[], line(k), &mut warm.l3);
+                    }
+                    let mut hit = warm.clone();
+                    hit.threads[0].core.retire_mem(InstClass::Load, &[], line(0), &mut hit.l3);
+                    let misses = |m: &Machine| m.threads[0].core.counters().l1_misses;
+                    assert_eq!(misses(&hit), misses(&warm) + 1, "an L1 miss");
+                    assert!(hit.l3 == warm.l3, "that hits in L2");
+                    *m = hit;
+                }),
+            ),
+            (
+                "L3 access",
+                Box::new(move |m: &mut Machine| {
+                    m.l3.access(cold);
+                }),
+            ),
+            (
+                "branch predictor",
+                Box::new(|m: &mut Machine| {
+                    m.threads[0].core.retire_branch(0xB1, false, &[]);
+                }),
+            ),
+            (
+                "core clock",
+                Box::new(|m: &mut Machine| {
+                    let c = m.threads[1].core.cycles();
+                    m.threads[1].core.advance_to(c + 1);
+                }),
+            ),
+            ("output byte", Box::new(|m: &mut Machine| m.output[0] ^= 1)),
+            (
+                "heartbeat",
+                Box::new(|m: &mut Machine| {
+                    m.heartbeats += 1;
+                    m.heartbeat_cycles.push(m.cycles_so_far());
+                }),
+            ),
+            ("held lock", Box::new(move |m: &mut Machine| m.locks.entry_mut(g + 32).owner = Some(1))),
+            (
+                "atomic serialization point",
+                Box::new(move |m: &mut Machine| m.atomics.insert(g + 128, (1, 9))),
+            ),
+            ("steps", Box::new(|m: &mut Machine| m.steps += 1)),
+            ("eligible", Box::new(|m: &mut Machine| m.eligible += 1)),
+            (
+                "pending fault plan",
+                Box::new(|m: &mut Machine| m.set_fault(Some(FaultPlan { index: m.eligible + 1, bit: 0 }))),
+            ),
+        ];
+        for (what, perturb) in perturbations {
+            let mut m = base.clone();
+            perturb(&mut m);
+            assert!(!m.state_matches(&base), "{what}: perturbed machine matched");
+            assert!(!base.state_matches(&m), "{what}: match is not symmetric");
+        }
+
+        // Representation-only differences of equal timing and counters:
+        // a cold miss to a different line on each side (cache contents),
+        // and a correctly predicted not-taken branch at a different site
+        // on each side (predictor table).
+        let mut a = base.clone();
+        let mut b = base.clone();
+        a.threads[0].core.retire_mem(InstClass::Load, &[], cold, &mut a.l3);
+        b.threads[0].core.retire_mem(InstClass::Load, &[], cold + 64, &mut b.l3);
+        assert_eq!(a.threads[0].core.counters(), b.threads[0].core.counters());
+        assert_eq!(a.threads[0].core.cycles(), b.threads[0].core.cycles());
+        assert!(!a.state_matches(&b), "cache contents");
+        let mut a = base.clone();
+        let mut b = base.clone();
+        a.threads[0].core.retire_branch(0xA11CE, false, &[]);
+        b.threads[0].core.retire_branch(0xB0B, false, &[]);
+        assert_eq!(a.threads[0].core.counters(), b.threads[0].core.counters());
+        assert!(!a.state_matches(&b), "predictor table");
+
+        // A fault plan that has fired (its index is at or below
+        // `eligible`) matches the fault-free twin when nothing else
+        // differs; so do the other excluded fields: the step limit,
+        // corrections and the phi scratch buffer.
+        let mut m = base.clone();
+        m.set_fault(Some(FaultPlan { index: m.eligible, bit: 3 }));
+        assert!(m.state_matches(&base), "a fired fault plan must not take part");
+        m.set_step_limit(m.steps + 1);
+        m.corrections += 5;
+        m.phi_scratch.push((0, RtVal::S(1), 2));
+        assert!(m.state_matches(&base), "excluded fields must not take part");
+        assert!(base.state_matches(&m));
     }
 }

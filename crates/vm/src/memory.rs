@@ -99,8 +99,16 @@ impl fmt::Display for Trap {
 impl std::error::Error for Trap {}
 
 /// Flat byte-addressable memory (segmented representation).
-#[derive(Clone)]
+///
+/// Equality compares the representation: equal memories read the same
+/// everywhere, but two memories that read the same may compare unequal
+/// (a segment or stack grown further, zeros included).
+#[derive(Clone, PartialEq, Eq)]
 pub struct Memory {
+    stacks_base: u64,
+    size: u64,
+    heap_next: u64,
+    heap_limit: u64,
     /// `[LOW_BASE, GLOBAL_BASE)` — rarely touched, grows on write.
     low: Vec<u8>,
     /// `[GLOBAL_BASE, INPUT_BASE)` — grows on write past the initial
@@ -112,14 +120,10 @@ pub struct Memory {
     heap: Vec<u8>,
     /// `[stacks_base, size)`, one `STACK_SIZE` chunk per thread slot.
     stacks: Vec<Stack>,
-    stacks_base: u64,
-    size: u64,
-    heap_next: u64,
-    heap_limit: u64,
 }
 
 /// One thread's stack chunk, backed from a page boundary up to its top.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq)]
 struct Stack {
     /// The top `bytes.len()` bytes of the chunk (a whole number of
     /// pages); the bytes below them read as zero.
