@@ -51,12 +51,11 @@
 //!
 //! Knobs: `ELZAR_SCALE` (service problem size), `ELZAR_SERVE_REQUESTS`
 //! (stream length, default by scale), `ELZAR_SERVE_FAULT_PPM`
-//! (per-request SEU probability, default 20000 = 2%),
-//! `ELZAR_CAMPAIGN_THREADS` (host workers; never changes results).
+//! (per-request SEU probability, default 20000 = 2%).
 
 use elzar::{Artifact, ArtifactSet, Mode};
 use elzar_bench::report::{write_report, Json};
-use elzar_bench::{banner, campaign_workers_from_env, scale_from_env};
+use elzar_bench::{banner, scale_from_env};
 use elzar_fault::Outcome;
 use elzar_serve::gen::ScenarioPreset;
 use elzar_serve::{serve_scenario, ScalingPolicy, ServeConfig, ServeReport, Service};
@@ -143,13 +142,11 @@ fn main() {
     let scale = scale_from_env();
     let requests = env_u64("ELZAR_SERVE_REQUESTS", scale.pick(800, 1_600, 6_000));
     let fault_ppm = env_u64("ELZAR_SERVE_FAULT_PPM", 20_000) as u32;
-    let workers = campaign_workers_from_env();
     let set = ArtifactSet::new();
     // Saturating offered load: the queue (not the arrival process) is
     // the bottleneck in every configuration, so throughput ratios
     // measure serving capacity.
     let saturating = ServeConfig {
-        workers,
         requests,
         fault_rate_ppm: fault_ppm,
         mean_gap_cycles: 150,
@@ -573,7 +570,6 @@ fn main() {
         let (app, artifact) = artifact_for(service);
         let base = ServeConfig {
             shards: 1,
-            workers,
             batch_size: 4,
             snapshot_interval: 16,
             seed: 0x5CE2_A210,

@@ -34,8 +34,8 @@
 //! * `ELZAR_FI_RUNS` = injections per benchmark/mode in `fig13`
 //!   (default 120; the paper used 2500 on a 25-machine cluster);
 //! * `ELZAR_CAMPAIGN_THREADS` = *host* OS threads used to fan out
-//!   fault-injection runs (and fig11's independent measurements, and
-//!   `fig_serve`'s shard drains). Default: all available cores. `1`
+//!   fault-injection runs (and fig11's independent measurements).
+//!   Default: all available cores. `1`
 //!   forces the serial driver; any value produces bit-identical
 //!   results — parallelism only changes wall-clock time;
 //! * `ELZAR_PASSES` = comma-separated pass-pipeline override applied to

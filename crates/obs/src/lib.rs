@@ -32,6 +32,9 @@
 //! invariant — `foreground_total() == lifetime cycles` — is checked by
 //! [`CycleLedger::verify`] and asserted at report time by the serving
 //! runtime, so a cycle can never be double-charged or lost silently.
+//! The ledger's sums are checked, and so is every other virtual clock
+//! through [`vt_add`] / [`vt_mul`]: a `u64` wrap panics, naming the
+//! component, instead of silently reordering later events.
 //!
 //! ## The debug sink ([`debug`])
 //!
@@ -231,6 +234,22 @@ impl CycleLedger {
             Err(ConservationError { foreground, lifetime, cells: self.cells })
         }
     }
+}
+
+/// Checked virtual-time addition: `a + b`, panicking loudly — naming
+/// the accumulating `component` — instead of wrapping. Use for every
+/// cycle-counter accumulation outside the ledger; a wrapped virtual
+/// clock silently reorders all subsequent events.
+#[track_caller]
+pub fn vt_add(component: &str, a: u64, b: u64) -> u64 {
+    a.checked_add(b).unwrap_or_else(|| panic!("virtual-time overflow in {component}: {a} + {b} wraps u64"))
+}
+
+/// Checked virtual-time multiplication: `a * b`, panicking loudly —
+/// naming the `component` — instead of wrapping.
+#[track_caller]
+pub fn vt_mul(component: &str, a: u64, b: u64) -> u64 {
+    a.checked_mul(b).unwrap_or_else(|| panic!("virtual-time overflow in {component}: {a} * {b} wraps u64"))
 }
 
 // ---------------------------------------------------------------------------
@@ -597,6 +616,21 @@ mod tests {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || a.merge(&b))).unwrap_err();
         let msg = msg_of(err);
         assert!(msg.contains("idle"), "merge panic must name the category: {msg}");
+    }
+
+    #[test]
+    fn vt_add_overflow_names_the_component() {
+        let err = std::panic::catch_unwind(|| vt_add("shard 3 heartbeat", u64::MAX - 1, 2)).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("shard 3 heartbeat"), "panic must name the component: {msg}");
+        assert!(msg.contains("virtual-time overflow"), "panic must say what happened: {msg}");
+    }
+
+    #[test]
+    fn vt_mul_overflow_names_the_component() {
+        let err = std::panic::catch_unwind(|| vt_mul("shed predictor", u64::MAX / 2, 3)).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("shed predictor"), "panic must name the component: {msg}");
     }
 
     #[test]

@@ -325,41 +325,6 @@ pub(crate) fn adjust_predictive(
     }
 }
 
-/// The controller's epoch/forecast cadence as a scheduled component on
-/// the `elzar_sim` event core: one wake-up per controller epoch, at the
-/// epoch's last arrival — the same instant the legacy chunk loop reads
-/// backlogs and decides. The tick body itself lives with the elastic
-/// driver (`serve_adaptive_events`); this type owns only the cadence:
-/// *when* the controller runs.
-///
-/// A decision instant can collide with request arrivals and snapshot
-/// instants on the same cycle; the `(cycle, track, seq)` tie order
-/// commits shard work first (shard tracks register below the cadence
-/// track inside an epoch's inner scheduler) and the controller's
-/// decision last — exactly the legacy ordering, which is why the trace
-/// byte stream is invariant across worker counts and both cores.
-pub(crate) struct EpochCadence {
-    /// Index of the next epoch to run (== ticks delivered so far).
-    pub next_epoch: usize,
-    /// Decision instant of each epoch: the chunk's last arrival.
-    pub t_ends: Vec<u64>,
-}
-
-impl EpochCadence {
-    /// Cadence over `stream` in chunks of `interval` requests.
-    pub fn new(stream: &[crate::gen::Request], interval: usize) -> EpochCadence {
-        let t_ends =
-            stream.chunks(interval.max(1)).map(|c| c.last().expect("chunks are non-empty").arrival).collect();
-        EpochCadence { next_epoch: 0, t_ends }
-    }
-
-    /// The wake-up cycle of the next epoch's decision instant, or
-    /// [`elzar_sim::NEVER`] once the stream is exhausted.
-    pub fn next_decision_at(&self) -> u64 {
-        self.t_ends.get(self.next_epoch).copied().unwrap_or(elzar_sim::NEVER)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,8 @@
 //! that holds for plain streams holds verbatim for compiled scenarios.
 
 use elzar_apps::ycsb::{self, YcsbWorkload};
+use elzar_obs::vt_add;
 use elzar_rng::{splitmix64, DetRng};
-use elzar_sim::vt_add;
 
 /// One request: identity, arrival time, routing key and the encoded
 /// input-segment payload its serve entry consumes.

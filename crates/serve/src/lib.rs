@@ -46,9 +46,9 @@
 //!    [`ServeConfig::divergence_check_interval`] runs a state-digest
 //!    divergence detector beside ELZAR's own classification
 //!    ([`ServeReport::divergence_agreement`]);
-//! 8. shards drain on their own OS threads — workers pull shard ids
-//!    from a shared counter, so any worker count yields bit-identical
-//!    results;
+//! 8. shards drain one after another on the calling thread, in
+//!    shard-id order — they share no state within a controller epoch,
+//!    so the order cannot change any result;
 //! 9. an online fault-injection schedule flips destination-register
 //!    bits mid-service and classifies every hit per Table I
 //!    (Masked / ElzarCorrected / Sdc / Crashed-with-restart-from-
@@ -61,10 +61,11 @@
 //!
 //! Determinism contract: everything in the report — outcome counts,
 //! latency histogram, digests, cycle totals, scaling events — is a pure
-//! function of `(program, service, scale, ServeConfig)`. Worker count
-//! only changes wall-clock time; shard count, batch policy, snapshot
-//! interval and the scaling schedule change latency/throughput (that is
-//! the point) but never fault outcome counts or the table digest,
+//! function of `(program, service, scale, ServeConfig)`. The worker
+//! count changes nothing ([`ServeConfig::workers`]); shard count,
+//! batch policy, snapshot interval and the scaling schedule change
+//! latency/throughput (that is the point) but never fault outcome
+//! counts or the table digest,
 //! because the fault schedule keys on global request ids,
 //! fault-scheduled requests always execute through the single-request
 //! entry, each shard commits only reference executions, and migration
@@ -96,9 +97,7 @@ pub mod gen;
 pub mod histogram;
 pub mod shard;
 
-use controller::{
-    adjust_predictive, decide, Decision, EpochCadence, Forecaster, Partition, ScaleEvent, PARTITION_SLOTS,
-};
+use controller::{adjust_predictive, decide, Decision, Forecaster, Partition, ScaleEvent, PARTITION_SLOTS};
 pub use controller::{ScalingPolicy, RATE_FP};
 use elzar_apps::ycsb::YcsbWorkload;
 use elzar_apps::{kv, web, Scale, ServeApp, FREQ_HZ};
@@ -107,13 +106,10 @@ use elzar_obs::{debug, DRIVER_TRACK};
 // Re-exported so report consumers can name the ledger/trace types
 // without a separate `elzar_obs` dependency.
 pub use elzar_obs::{Category, CycleLedger, EventKind, Trace, TraceEvent, Tracer};
-use elzar_sim::{Component, Scheduler, TieBreak};
 use elzar_vm::{MachineConfig, Program};
 use gen::{shard_of, Request};
 use histogram::LatencyHistogram;
-use shard::{boot_image, drain_shard, ShardDrain, ShardOutput, ShardRuntime, ShardStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use shard::{boot_image, drain_shard, ShardOutput, ShardRuntime, ShardStats};
 
 /// Serving-runtime parameters.
 #[derive(Clone, Debug)]
@@ -121,7 +117,9 @@ pub struct ServeConfig {
     /// Resident VM shards (the *starting* count when
     /// [`ServeConfig::adaptive_shards`] is on).
     pub shards: u32,
-    /// Host OS threads draining shards (never changes results).
+    /// Unused: serving drains every shard on the calling thread, in
+    /// shard-id order, whatever this says. Kept so existing
+    /// configurations still compile; it never changes results.
     pub workers: u32,
     /// Maximum requests a shard drains into one batched VM entry when
     /// it becomes free (`1` = unbatched single-request serving; the
@@ -253,22 +251,6 @@ pub struct ServeConfig {
     pub restart_cycles: u64,
     /// Hang budget multiple for faulty executions (see `elzar_fault`).
     pub hang_factor: u64,
-    /// Drive serving on the `elzar_sim` discrete-event core (the
-    /// default): shard drains and the controller's epoch/forecast
-    /// cadence are scheduled wake-ups on one `(cycle, track, seq)`
-    /// heap. `false` runs the legacy hand-rolled time loops — kept for
-    /// one PR so the old-vs-new differential suite can pin both paths
-    /// bit-identical (outcome counts, KV digest, latency quantiles,
-    /// ledger conservation, canonical trace bytes).
-    pub event_core: bool,
-    /// Seed for same-cycle event-order fuzzing on the event core: `0`
-    /// (the default) commits ties in canonical `(cycle, track, seq)`
-    /// order; any other value permutes each same-cycle ready set under
-    /// that `elzar_rng` seed. Shards share no state, so every seed must
-    /// produce a bit-identical report — a divergence is an
-    /// order-dependence bug (the hunt the fuzz suite runs). Ignored on
-    /// the legacy paths.
-    pub order_fuzz: u64,
     /// Base machine configuration for shard VMs.
     pub machine: MachineConfig,
 }
@@ -277,7 +259,7 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             shards: 4,
-            workers: std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(4),
+            workers: 1,
             batch_size: 1,
             batch_adaptive: false,
             batch_max: 32,
@@ -308,8 +290,6 @@ impl Default for ServeConfig {
             // (usage-proportional, a few MB): ~25 us at 2 GHz.
             restart_cycles: 50_000,
             hang_factor: 20,
-            event_core: true,
-            order_fuzz: 0,
             machine: MachineConfig { step_limit: 10_000_000_000, ..MachineConfig::default() },
         }
     }
@@ -740,29 +720,19 @@ pub fn serve_scenario(
 /// path routes by key hash up front and drains every shard to
 /// completion; with [`ServeConfig::adaptive_shards`] the elastic path
 /// runs the stream in controller epochs, scaling the shard set against
-/// queue depth. Either way workers pull work from a shared counter and
-/// results merge in shard-id order.
+/// queue depth. Either way every shard drains on the calling thread in
+/// shard-id order and results merge in shard-id order.
 pub fn serve_stream(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
-    match (cfg.adaptive_shards, cfg.event_core) {
-        (true, true) => serve_adaptive_events(prog, app, stream, cfg),
-        (true, false) => serve_adaptive(prog, app, stream, cfg),
-        (false, true) => serve_static_events(prog, app, stream, cfg),
-        (false, false) => serve_static(prog, app, stream, cfg),
-    }
-}
-
-/// Tie-break rule the event-core schedulers run under:
-/// [`ServeConfig::order_fuzz`] `== 0` is the canonical
-/// `(cycle, track, seq)` order, anything else a seeded permutation of
-/// every same-cycle ready set.
-fn tie_break(cfg: &ServeConfig) -> TieBreak {
-    if cfg.order_fuzz == 0 {
-        TieBreak::Canonical
+    if cfg.adaptive_shards {
+        serve_adaptive(prog, app, stream, cfg)
     } else {
-        TieBreak::Fuzzed(cfg.order_fuzz)
+        serve_static(prog, app, stream, cfg)
     }
 }
 
+/// The static serving path: route by key hash, then drain each shard's
+/// arrivals to completion, one shard after another. Shards share no
+/// state, so the drain order cannot change any result.
 fn serve_static(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
     let shards = cfg.shards.max(1);
     let mut routed: Vec<Vec<&Request>> = (0..shards).map(|_| Vec::new()).collect();
@@ -771,68 +741,10 @@ fn serve_static(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeC
     }
 
     let image = boot_image(prog, app, cfg);
-    let workers = (cfg.workers.max(1) as usize).min(shards as usize);
-    let next = AtomicUsize::new(0);
-    let tagged: Vec<(usize, ShardOutput)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let (routed, image) = (&routed, &image);
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= routed.len() {
-                            return local;
-                        }
-                        let out = drain_shard(image, app, s as u32, shards, &routed[s], cfg);
-                        local.push((s, out));
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))).collect()
-    });
-    let mut outputs: Vec<Option<ShardOutput>> = (0..shards).map(|_| None).collect();
-    for (s, o) in tagged {
-        outputs[s] = Some(o);
-    }
-    let mut report =
-        merge_outputs(outputs.into_iter().map(|o| o.expect("every shard drained")).collect(), Tracer::off());
-    report.peak_shards = shards;
-    report.final_shards = shards;
-    report
-}
-
-/// The static path on the `elzar_sim` event core: the same routing and
-/// the same per-shard drain sequence as [`serve_static`], but instead
-/// of each worker thread running a shard's hand-rolled `feed` loop to
-/// completion, every shard is a [`ShardDrain`] component and one
-/// discrete-event scheduler interleaves their drains in virtual-time
-/// order on the `(cycle, track, seq)` heap. Shards share no state, so
-/// the interleaving — canonical or fuzzed — cannot change any result:
-/// old-vs-new is bit-identical by construction (and pinned by the
-/// differential suite).
-fn serve_static_events(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
-    let shards = cfg.shards.max(1);
-    let mut routed: Vec<Vec<&Request>> = (0..shards).map(|_| Vec::new()).collect();
-    for r in stream {
-        routed[shard_of(r.key, shards) as usize].push(r);
-    }
-
-    let image = boot_image(prog, app, cfg);
-    let mut runtimes: Vec<ShardRuntime> = (0..shards).map(|id| ShardRuntime::boot(&image, cfg, id)).collect();
-    {
-        let mut sched = Scheduler::new(tie_break(cfg));
-        for (rt, reqs) in runtimes.iter_mut().zip(&routed) {
-            sched.add(ShardDrain::new(rt, reqs, app, cfg));
-        }
-        sched.run(&mut ());
-    }
-    let outputs: Vec<ShardOutput> = runtimes
-        .into_iter()
+    let outputs: Vec<ShardOutput> = routed
+        .iter()
         .enumerate()
-        .map(|(s, rt)| rt.into_output(app, &|key| shard_of(key, shards) == s as u32))
+        .map(|(s, reqs)| drain_shard(&image, app, s as u32, shards, reqs, cfg))
         .collect();
     let mut report = merge_outputs(outputs, Tracer::off());
     report.peak_shards = shards;
@@ -842,19 +754,20 @@ fn serve_static_events(prog: &Program, app: &ServeApp, stream: &[Request], cfg: 
 
 /// The elastic serving path: run the stream in controller epochs of
 /// [`ServeConfig::control_interval`] requests. Within an epoch the
-/// shard set is fixed, so shards drain in parallel exactly like the
-/// static path; at each epoch boundary the controller reads every
-/// active shard's queue occupancy at the epoch's last arrival and
+/// shard set is fixed and shards share no state, so each active shard
+/// drains its routed arrivals to completion in shard-id order, exactly
+/// like the static path. At each epoch boundary the controller reads
+/// every active shard's queue occupancy at the epoch's last arrival and
 /// applies one [`Decision`] — all in virtual time, so the scaling
-/// schedule is deterministic and worker-count invariant.
+/// schedule is deterministic.
 fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &ServeConfig) -> ServeReport {
     let start_shards = cfg.shards.clamp(1, cfg.shards_max.max(1));
     let mut partition = Partition::initial(start_shards);
     let image = boot_image(prog, app, cfg);
     // Runtimes indexed by shard id; retired shards become `None` after
     // their stats are banked.
-    let mut runtimes: Vec<Mutex<Option<ShardRuntime>>> =
-        (0..start_shards).map(|id| Mutex::new(Some(ShardRuntime::boot(&image, cfg, id)))).collect();
+    let mut runtimes: Vec<Option<ShardRuntime>> =
+        (0..start_shards).map(|id| Some(ShardRuntime::boot(&image, cfg, id))).collect();
     let mut active: Vec<u32> = (0..start_shards).collect();
     let mut banked: Vec<Option<ShardOutput>> = (0..start_shards).map(|_| None).collect();
     // Global committed log per partition slot, in commit order — only
@@ -870,14 +783,12 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
     let mut events: Vec<ScaleEvent> = Vec::new();
     let mut peak = start_shards;
     // The controller's own track: scaling decisions and compaction
-    // epochs happen between shard drains, single-threaded, so this
-    // ring sees the same sequence regardless of worker count.
+    // passes run after each epoch's shard drains.
     let mut driver = Tracer::new(DRIVER_TRACK, cfg.trace_events);
     // Predictive policy state: Holt smoothing over each epoch's
     // admitted-arrival rate. The rate is `chunk len / arrival span` —
     // a property of the stream alone, so the forecast (and therefore
-    // the scaling schedule) is identical across worker counts and
-    // batch policies.
+    // the scaling schedule) is identical across batch policies.
     let mut forecaster = Forecaster::default();
     let mut prev_t_end = 0u64;
 
@@ -889,45 +800,14 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
             routed[partition.owner_of(r.key) as usize].push(r);
         }
 
-        // Parallel drain of the active shards (workers pull indices
-        // into the active list from a shared counter).
-        let workers = (cfg.workers.max(1) as usize).min(active.len());
-        let next = AtomicUsize::new(0);
-        let committed: Vec<(u32, Vec<&Request>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let active = &active;
-                    let routed = &routed;
-                    let runtimes = &runtimes;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= active.len() {
-                                return local;
-                            }
-                            let id = active[k];
-                            let mut guard = runtimes[id as usize].lock().expect("shard lock");
-                            let rt = guard.as_mut().expect("active shard has a runtime");
-                            local.push((id, rt.feed(&routed[id as usize], app, cfg)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        // Append commits to the per-slot logs in shard-id order (per
-        // slot there is a single committing shard, so any order would
-        // do — id order just makes the loop deterministic to read).
-        let mut committed = committed;
-        committed.sort_by_key(|&(id, _)| id);
-        for (_, reqs) in &committed {
-            for r in reqs {
-                log[controller::slot_of(r.key) as usize].push(r);
+        // Drain the active shards in shard-id order (retired slots are
+        // `None` and routed nothing). Each slot has a single committing
+        // shard per epoch, so appends to its log never interleave.
+        for (rt, reqs) in runtimes.iter_mut().zip(&routed) {
+            if let Some(rt) = rt {
+                for r in rt.feed(reqs, app, cfg) {
+                    log[controller::slot_of(r.key) as usize].push(r);
+                }
             }
         }
 
@@ -937,8 +817,7 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
         let backlogs: Vec<(u32, usize)> = active
             .iter()
             .map(|&id| {
-                let guard = runtimes[id as usize].lock().expect("shard lock");
-                (id, guard.as_ref().expect("active shard has a runtime").backlog_at(t_end))
+                (id, runtimes[id as usize].as_ref().expect("active shard has a runtime").backlog_at(t_end))
             })
             .collect();
         let mut decision =
@@ -957,11 +836,8 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
                 let taken = controller::split_upper_half(partition.slots_of(donor));
                 if taken != 0 {
                     let joiner = runtimes.len() as u32;
-                    let rt = {
-                        let guard = runtimes[donor as usize].lock().expect("shard lock");
-                        let d = guard.as_ref().expect("donor is active");
-                        ShardRuntime::boot_from_donor(d, app, cfg, joiner, taken, t_end)
-                    };
+                    let d = runtimes[donor as usize].as_ref().expect("donor is active");
+                    let rt = ShardRuntime::boot_from_donor(d, app, cfg, joiner, taken, t_end);
                     events.push(ScaleEvent::Up {
                         epoch: epoch as u32,
                         donor,
@@ -976,7 +852,7 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
                             taken.count_ones()
                         )
                     });
-                    runtimes.push(Mutex::new(Some(rt)));
+                    runtimes.push(Some(rt));
                     banked.push(None);
                     partition.assign(taken, joiner);
                     active.push(joiner);
@@ -985,20 +861,16 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
             }
             Decision::Down { leaver, recipient } => {
                 let taken = partition.slots_of(leaver);
-                let replayed_before;
-                {
-                    let mut guard = runtimes[recipient as usize].lock().expect("shard lock");
-                    let rt = guard.as_mut().expect("recipient is active");
-                    replayed_before = rt.stats.migration_replays;
-                    rt.absorb(taken, &log, &base, app, cfg);
-                    events.push(ScaleEvent::Down {
-                        epoch: epoch as u32,
-                        leaver,
-                        recipient,
-                        slots: taken.count_ones(),
-                        replayed: rt.stats.migration_replays - replayed_before,
-                    });
-                }
+                let rt = runtimes[recipient as usize].as_mut().expect("recipient is active");
+                let replayed_before = rt.stats.migration_replays;
+                rt.absorb(taken, &log, &base, app, cfg);
+                events.push(ScaleEvent::Down {
+                    epoch: epoch as u32,
+                    leaver,
+                    recipient,
+                    slots: taken.count_ones(),
+                    replayed: rt.stats.migration_replays - replayed_before,
+                });
                 driver.record(EventKind::ScaleDown, t_end, 0, u64::from(leaver), u64::from(recipient));
                 debug::emit("serve", || {
                     format!(
@@ -1007,8 +879,7 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
                     )
                 });
                 partition.assign(taken, recipient);
-                let mut rt =
-                    runtimes[leaver as usize].lock().expect("shard lock").take().expect("leaver is active");
+                let mut rt = runtimes[leaver as usize].take().expect("leaver is active");
                 rt.stats.retired_at = t_end;
                 banked[leaver as usize] = Some(rt.into_output(app, &|_| false));
                 active.retain(|&id| id != leaver);
@@ -1023,16 +894,17 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
         // migrations all start from a snapshot at or past the mark).
         if cfg.compaction {
             for &id in &active {
-                let mut guard = runtimes[id as usize].lock().expect("shard lock");
-                guard.as_mut().expect("active shard has a runtime").catch_up(&log, &base, app, cfg);
+                runtimes[id as usize]
+                    .as_mut()
+                    .expect("active shard has a runtime")
+                    .catch_up(&log, &base, app, cfg);
             }
             let removed_before = compacted_entries;
             for (s, slot_log) in log.iter_mut().enumerate() {
                 let floor = active
                     .iter()
                     .map(|&id| {
-                        let guard = runtimes[id as usize].lock().expect("shard lock");
-                        guard.as_ref().expect("active shard has a runtime").snapshot_mark(s)
+                        runtimes[id as usize].as_ref().expect("active shard has a runtime").snapshot_mark(s)
                     })
                     .min()
                     .unwrap_or(base[s]);
@@ -1068,12 +940,12 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
     let final_shards = active.len() as u32;
     let outputs: Vec<ShardOutput> = banked
         .into_iter()
+        .zip(runtimes)
         .enumerate()
-        .map(|(id, b)| match b {
+        .map(|(id, (b, rt))| match b {
             Some(out) => out,
             None => {
-                let rt = runtimes[id].lock().expect("shard lock").take().expect("unretired runtime");
-                rt.into_output(app, &|key| partition.owner_of(key) == id as u32)
+                rt.expect("unretired runtime").into_output(app, &|key| partition.owner_of(key) == id as u32)
             }
         })
         .collect();
@@ -1092,305 +964,6 @@ fn serve_adaptive(prog: &Program, app: &ServeApp, stream: &[Request], cfg: &Serv
     report.peak_shards = peak;
     report.final_shards = final_shards;
     report.events = events;
-    report
-}
-
-/// The elastic path's mutable state on the event core, shared between
-/// the [`EpochCadence`] component's ticks. Field-for-field the same
-/// state the legacy [`serve_adaptive`] loop keeps on its stack, minus
-/// the per-shard `Mutex`es — the event core is serial (virtual time
-/// already makes the report worker-invariant; the legacy path keeps
-/// the thread pool for wall-clock speed until it is deleted).
-struct EpochSys<'p, 'a> {
-    app: &'a ServeApp,
-    cfg: &'a ServeConfig,
-    stream: &'a [Request],
-    partition: Partition,
-    /// Runtimes indexed by shard id; `None` once retired and banked.
-    runtimes: Vec<Option<ShardRuntime<'p, 'a>>>,
-    active: Vec<u32>,
-    banked: Vec<Option<ShardOutput>>,
-    log: Vec<Vec<&'a Request>>,
-    base: [u32; PARTITION_SLOTS as usize],
-    compactions: u64,
-    compacted_entries: u64,
-    max_slot_log: u64,
-    events: Vec<ScaleEvent>,
-    peak: u32,
-    driver: Tracer,
-    forecaster: Forecaster,
-    prev_t_end: u64,
-}
-
-impl<'p, 'a> Component<EpochSys<'p, 'a>> for EpochCadence {
-    fn label(&self) -> &'static str {
-        "controller epoch cadence"
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.next_decision_at()
-    }
-
-    fn tick(&mut self, _now: u64, sys: &mut EpochSys<'p, 'a>) {
-        sys.run_epoch(self.next_epoch);
-        self.next_epoch += 1;
-    }
-}
-
-impl<'p, 'a> EpochSys<'p, 'a> {
-    /// One controller epoch — the body of one [`EpochCadence`] tick at
-    /// the epoch's decision instant. Routes the chunk under the
-    /// current assignment, drains the active shards to quiescence on
-    /// an *inner* event-core scheduler (one [`ShardDrain`] per active
-    /// shard, in shard-id track order), then runs the decision +
-    /// compaction tail verbatim from the legacy loop. Step-for-step
-    /// identical to one [`serve_adaptive`] chunk iteration — the
-    /// old-vs-new differential pins it.
-    fn run_epoch(&mut self, epoch: usize) {
-        let (app, cfg) = (self.app, self.cfg);
-        let interval = cfg.control_interval.max(1) as usize;
-        let chunk = &self.stream[epoch * interval..self.stream.len().min((epoch + 1) * interval)];
-
-        // Route this epoch under the current assignment.
-        let mut routed: Vec<Vec<&'a Request>> = (0..self.runtimes.len()).map(|_| Vec::new()).collect();
-        for r in chunk {
-            routed[self.partition.owner_of(r.key) as usize].push(r);
-        }
-
-        // Drain the active shards to quiescence on the inner
-        // scheduler. Retired slots are `None`, so registration order —
-        // and therefore track order and the committed scatter below —
-        // is shard-id order, matching the legacy path's sort.
-        let committed: Vec<(u32, Vec<&'a Request>)> = {
-            let mut sched = Scheduler::new(tie_break(cfg));
-            for (slot, reqs) in self.runtimes.iter_mut().zip(&routed) {
-                if let Some(rt) = slot.as_mut() {
-                    sched.add(ShardDrain::new(rt, reqs, app, cfg));
-                }
-            }
-            sched.run(&mut ());
-            sched.into_components().into_iter().map(|d| (d.shard(), d.committed)).collect()
-        };
-        for (_, reqs) in &committed {
-            for r in reqs {
-                self.log[controller::slot_of(r.key) as usize].push(r);
-            }
-        }
-
-        // Controller: read queue occupancy at the epoch's last arrival
-        // and apply at most one scaling decision.
-        let t_end = chunk.last().expect("chunks are non-empty").arrival;
-        let backlogs: Vec<(u32, usize)> = self
-            .active
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    self.runtimes[id as usize]
-                        .as_ref()
-                        .expect("active shard has a runtime")
-                        .backlog_at(t_end),
-                )
-            })
-            .collect();
-        let mut decision =
-            decide(&backlogs, cfg.scale_up_backlog as usize, cfg.scale_down_backlog as usize, cfg.shards_max);
-        if cfg.scaling_policy == ScalingPolicy::Predictive {
-            let span = (t_end - self.prev_t_end).max(1);
-            self.forecaster.observe((chunk.len() as u64).saturating_mul(RATE_FP) / span);
-            let fc = self.forecaster.forecast_ahead(controller::FORECAST_HORIZON);
-            let lvl = self.forecaster.level();
-            self.driver.record(EventKind::Forecast, t_end, 0, fc, lvl);
-            decision = adjust_predictive(decision, fc, lvl, &backlogs, cfg.shards_max);
-        }
-        self.prev_t_end = t_end;
-        match decision {
-            Decision::Up { donor } => {
-                let taken = controller::split_upper_half(self.partition.slots_of(donor));
-                if taken != 0 {
-                    let joiner = self.runtimes.len() as u32;
-                    let rt = {
-                        let d = self.runtimes[donor as usize].as_ref().expect("donor is active");
-                        ShardRuntime::boot_from_donor(d, app, cfg, joiner, taken, t_end)
-                    };
-                    self.events.push(ScaleEvent::Up {
-                        epoch: epoch as u32,
-                        donor,
-                        joiner,
-                        slots: taken.count_ones(),
-                        replayed: rt.stats.migration_replays,
-                    });
-                    self.driver.record(EventKind::ScaleUp, t_end, 0, u64::from(donor), u64::from(joiner));
-                    debug::emit("serve", || {
-                        format!(
-                            "epoch {epoch}: scale-up donor={donor} joiner={joiner} slots={}",
-                            taken.count_ones()
-                        )
-                    });
-                    self.runtimes.push(Some(rt));
-                    self.banked.push(None);
-                    self.partition.assign(taken, joiner);
-                    self.active.push(joiner);
-                    self.peak = self.peak.max(self.active.len() as u32);
-                }
-            }
-            Decision::Down { leaver, recipient } => {
-                let taken = self.partition.slots_of(leaver);
-                let replayed_before;
-                {
-                    let rt = self.runtimes[recipient as usize].as_mut().expect("recipient is active");
-                    replayed_before = rt.stats.migration_replays;
-                    rt.absorb(taken, &self.log, &self.base, app, cfg);
-                    self.events.push(ScaleEvent::Down {
-                        epoch: epoch as u32,
-                        leaver,
-                        recipient,
-                        slots: taken.count_ones(),
-                        replayed: rt.stats.migration_replays - replayed_before,
-                    });
-                }
-                self.driver.record(EventKind::ScaleDown, t_end, 0, u64::from(leaver), u64::from(recipient));
-                debug::emit("serve", || {
-                    format!(
-                        "epoch {epoch}: scale-down leaver={leaver} recipient={recipient} slots={}",
-                        taken.count_ones()
-                    )
-                });
-                self.partition.assign(taken, recipient);
-                let mut rt = self.runtimes[leaver as usize].take().expect("leaver is active");
-                rt.stats.retired_at = t_end;
-                self.banked[leaver as usize] = Some(rt.into_output(app, &|_| false));
-                self.active.retain(|&id| id != leaver);
-            }
-            Decision::Hold => {}
-        }
-
-        // Compaction pass: bring every active shard up to the full
-        // committed log, then truncate each slot at the fleet-minimum
-        // snapshot mark (see the legacy loop for the full argument).
-        if cfg.compaction {
-            for &id in &self.active.clone() {
-                let rt = self.runtimes[id as usize].as_mut().expect("active shard has a runtime");
-                rt.catch_up(&self.log, &self.base, app, cfg);
-            }
-            let removed_before = self.compacted_entries;
-            for (s, slot_log) in self.log.iter_mut().enumerate() {
-                let floor = self
-                    .active
-                    .iter()
-                    .map(|&id| {
-                        self.runtimes[id as usize]
-                            .as_ref()
-                            .expect("active shard has a runtime")
-                            .snapshot_mark(s)
-                    })
-                    .min()
-                    .unwrap_or(self.base[s]);
-                let cut = (floor - self.base[s]) as usize;
-                if cut > 0 {
-                    slot_log.drain(..cut);
-                    self.base[s] = floor;
-                    self.compacted_entries += cut as u64;
-                }
-            }
-            if self.compacted_entries > removed_before {
-                self.compactions += 1;
-                self.driver.record(
-                    EventKind::Compaction,
-                    t_end,
-                    0,
-                    self.compacted_entries - removed_before,
-                    self.compactions,
-                );
-                debug::emit("serve", || {
-                    format!(
-                        "epoch {epoch}: compaction #{} removed {} log entries",
-                        self.compactions,
-                        self.compacted_entries - removed_before
-                    )
-                });
-            }
-        }
-        self.max_slot_log = self.max_slot_log.max(self.log.iter().map(|l| l.len() as u64).max().unwrap_or(0));
-    }
-}
-
-/// The elastic path on the `elzar_sim` event core: the controller's
-/// epoch/forecast cadence is an [`EpochCadence`] component on an outer
-/// scheduler (one wake-up per epoch, at the epoch's decision instant),
-/// and each tick drains the active shards to quiescence on an inner
-/// scheduler before deciding — the same barrier the legacy chunk loop
-/// enforces, because a backlog read at `t_end` is only meaningful once
-/// the epoch's drains have committed. Old-vs-new is pinned bit-
-/// identical by the differential suite.
-fn serve_adaptive_events(
-    prog: &Program,
-    app: &ServeApp,
-    stream: &[Request],
-    cfg: &ServeConfig,
-) -> ServeReport {
-    let start_shards = cfg.shards.clamp(1, cfg.shards_max.max(1));
-    let interval = cfg.control_interval.max(1) as usize;
-    let image = boot_image(prog, app, cfg);
-    let mut sys = EpochSys {
-        app,
-        cfg,
-        stream,
-        partition: Partition::initial(start_shards),
-        runtimes: (0..start_shards).map(|id| Some(ShardRuntime::boot(&image, cfg, id))).collect(),
-        active: (0..start_shards).collect(),
-        banked: (0..start_shards).map(|_| None).collect(),
-        log: (0..PARTITION_SLOTS).map(|_| Vec::new()).collect(),
-        base: [0u32; PARTITION_SLOTS as usize],
-        compactions: 0,
-        compacted_entries: 0,
-        max_slot_log: 0,
-        events: Vec::new(),
-        peak: start_shards,
-        driver: Tracer::new(DRIVER_TRACK, cfg.trace_events),
-        forecaster: Forecaster::default(),
-        prev_t_end: 0,
-    };
-    // The outer scheduler carries only the cadence component, so its
-    // tie-break never has a same-cycle peer; fuzzing applies inside
-    // each epoch's inner shard scheduler.
-    let mut sched = Scheduler::new(TieBreak::Canonical);
-    sched.add(EpochCadence::new(stream, interval));
-    sched.run(&mut sys);
-
-    // Finish: every still-active runtime reads the keys its final
-    // assignment owns; retired shards contributed their stats already.
-    let final_shards = sys.active.len() as u32;
-    let partition = sys.partition;
-    let outputs: Vec<ShardOutput> = sys
-        .banked
-        .into_iter()
-        .zip(sys.runtimes)
-        .enumerate()
-        .map(|(id, (b, rt))| match b {
-            Some(out) => out,
-            None => {
-                let rt = rt.expect("unretired runtime");
-                rt.into_output(app, &|key| partition.owner_of(key) == id as u32)
-            }
-        })
-        .collect();
-    let mut report = merge_outputs(outputs, sys.driver);
-    report.scale_ups = sys.events.iter().filter(|e| matches!(e, ScaleEvent::Up { .. })).count() as u64;
-    report.scale_downs = sys.events.iter().filter(|e| matches!(e, ScaleEvent::Down { .. })).count() as u64;
-    report.migrated_slots = sys
-        .events
-        .iter()
-        .map(|e| match e {
-            ScaleEvent::Up { slots, .. } | ScaleEvent::Down { slots, .. } => u64::from(*slots),
-        })
-        .sum();
-    report.compactions = sys.compactions;
-    report.compacted_entries = sys.compacted_entries;
-    report.max_slot_log = sys.max_slot_log;
-    report.peak_shards = sys.peak;
-    report.final_shards = final_shards;
-    report.events = sys.events;
     report
 }
 

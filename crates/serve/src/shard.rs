@@ -122,9 +122,8 @@ use crate::histogram::LatencyHistogram;
 use crate::{fnv_fold, ServeConfig, FNV_OFFSET};
 use elzar_apps::{kv, ServeApp};
 use elzar_fault::{inject_probe, replay_suffix, replay_suffix_where, GoldenRun, OutcomeClass};
-use elzar_obs::{debug, Category, CycleLedger, EventKind, Tracer};
+use elzar_obs::{debug, vt_add, vt_mul, Category, CycleLedger, EventKind, Tracer};
 use elzar_rng::{splitmix64, DetRng};
-use elzar_sim::{vt_add, vt_mul, Component, NEVER};
 use elzar_vm::{Machine, Program, RunOutcome};
 use std::collections::VecDeque;
 
@@ -714,15 +713,11 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
     }
 
     /// Drain `requests` (this shard's routed arrivals, in arrival
-    /// order) to completion. Returns the requests that committed, in
-    /// commit order — the driver appends them to the global per-slot
-    /// committed log that scale-down migration replays.
-    ///
-    /// This is the legacy hand-rolled time loop; the event core drives
-    /// the identical [`ShardRuntime::drain_once`] body from a
-    /// scheduled [`ShardDrain`] wake-up per drain instead, so both
-    /// paths commit bit-identical state (pinned by the old-vs-new
-    /// differential suite).
+    /// order) to completion on the calling thread: one
+    /// [`ShardRuntime::drain_once`] after another until the queue is
+    /// spent. Returns the requests that committed, in commit order —
+    /// the driver appends them to the global per-slot committed log
+    /// that scale-down migration replays.
     pub fn feed(&mut self, requests: &[&'a Request], app: &ServeApp, cfg: &ServeConfig) -> Vec<&'a Request> {
         let mut committed: Vec<&'a Request> = Vec::new();
         let mut i = 0;
@@ -732,24 +727,11 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         committed
     }
 
-    /// The instant this shard would start its next drain given the
-    /// remaining `requests[i..]`: it picks up work when free *and* the
-    /// next request has arrived. [`NEVER`](elzar_sim::NEVER) once the
-    /// queue is exhausted — this is the [`ShardDrain`] wake-up rule.
-    pub(crate) fn next_drain_at(&self, requests: &[&'a Request], i: usize) -> u64 {
-        match requests.get(i) {
-            Some(req) => self.clock.max(req.arrival),
-            None => NEVER,
-        }
-    }
-
     /// One drain: form a single batch starting at `requests[*i]`,
     /// execute it as fault-free/solo segments, commit, snapshot as the
     /// interval dictates, and advance `*i` past every request consumed
-    /// (admitted, rejected or shed). One call is one scheduled event on
-    /// the event core; the legacy [`ShardRuntime::feed`] loop calls it
-    /// back-to-back until the queue drains.
-    pub(crate) fn drain_once(
+    /// (admitted, rejected or shed).
+    fn drain_once(
         &mut self,
         requests: &[&'a Request],
         i: &mut usize,
@@ -1083,56 +1065,4 @@ pub(crate) fn drain_shard(
     let mut rt = ShardRuntime::boot(image, cfg, shard);
     rt.feed(requests, app, cfg);
     rt.into_output(app, &|key| shard_of(key, shards) == shard)
-}
-
-/// A shard on the `elzar_sim` event core: each wake-up is one drain
-/// ([`ShardRuntime::drain_once`]) at the instant the shard would pick
-/// up its next pending request ([`ShardRuntime::next_drain_at`]).
-///
-/// Arrivals, batch drains, snapshots, heartbeats and failover
-/// promotion all commit *inside* the drain event, in the same order
-/// the legacy [`ShardRuntime::feed`] loop commits them — which is why
-/// the old-vs-new differential holds bit-identically: the scheduler
-/// only decides *which shard* drains next, and shards share no state.
-pub(crate) struct ShardDrain<'p, 'a, 's> {
-    rt: &'s mut ShardRuntime<'p, 'a>,
-    requests: &'s [&'a Request],
-    i: usize,
-    /// Commits in commit order, handed back to the driver via
-    /// [`Scheduler::into_components`](elzar_sim::Scheduler::into_components).
-    pub committed: Vec<&'a Request>,
-    app: &'s ServeApp,
-    cfg: &'s ServeConfig,
-}
-
-impl<'p, 'a, 's> ShardDrain<'p, 'a, 's> {
-    pub fn new(
-        rt: &'s mut ShardRuntime<'p, 'a>,
-        requests: &'s [&'a Request],
-        app: &'s ServeApp,
-        cfg: &'s ServeConfig,
-    ) -> Self {
-        ShardDrain { rt, requests, i: 0, committed: Vec::new(), app, cfg }
-    }
-
-    /// The wrapped shard's id (for committed-log scatter in id order).
-    pub fn shard(&self) -> u32 {
-        self.rt.stats.shard
-    }
-}
-
-impl<'p, 'a, 's> Component<()> for ShardDrain<'p, 'a, 's> {
-    fn label(&self) -> &'static str {
-        "serve shard drain"
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.rt.next_drain_at(self.requests, self.i)
-    }
-
-    fn tick(&mut self, _now: u64, _sys: &mut ()) {
-        if self.i < self.requests.len() {
-            self.rt.drain_once(self.requests, &mut self.i, &mut self.committed, self.app, self.cfg);
-        }
-    }
 }

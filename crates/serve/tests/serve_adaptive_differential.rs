@@ -12,7 +12,9 @@
 //! * the *batch policy* (static `batch_size` vs queue-depth-adaptive)
 //!   is equally invariant;
 //! * adaptive runs are themselves deterministic and worker-count
-//!   invariant (full report equality, scaling events included);
+//!   invariant (full report equality, scaling events included), also
+//!   when arrivals, shard wake-ups and controller decisions collide on
+//!   one cycle;
 //! * the runs actually scale: the load shape (dense head, 10x-stretched
 //!   tail) makes both scale-up and scale-down events fire, asserted via
 //!   the controller event counters.
@@ -193,4 +195,57 @@ fn migrated_ranges_serve_updates_consistently() {
     assert!(adaptive.scale_ups >= 1, "no scale-up fired");
     assert_eq!(adaptive.table_digest, static2.table_digest);
     assert_eq!(adaptive.served, static2.served);
+}
+
+/// Deliberate same-cycle collisions: arrivals quantized so batches of
+/// requests land on identical instants (which are also the epoch
+/// boundaries the controller reads), waking several shards on the
+/// same cycle. The canonical trace byte stream — and the whole report
+/// — is invariant across worker counts, so this guards worker
+/// invariance should shard drains ever run in parallel again.
+#[test]
+fn same_cycle_collisions_commit_in_pinned_order() {
+    let service = Service::KvA;
+    let app = service.app(Scale::Tiny);
+    let artifact = Artifact::build(&app.module, &Mode::elzar_default());
+    let base = ServeConfig {
+        shards: 1,
+        workers: 1,
+        requests: 128,
+        seed: 0xC0_11_1D_E5,
+        queue_capacity: 1 << 20,
+        mean_gap_cycles: 1_500,
+        adaptive_shards: true,
+        shards_max: 4,
+        control_interval: 16,
+        scale_up_backlog: 6,
+        scale_down_backlog: 1,
+        trace_events: 64,
+        ..Default::default()
+    };
+    let mut stream = service.stream(&app, &base);
+    // Sixteen requests per instant — one control epoch per instant —
+    // so every epoch boundary, every shard wake-up and the controller
+    // decision all collide on one cycle.
+    for (i, req) in stream.iter_mut().enumerate() {
+        req.arrival = (i as u64 / 16 + 1) * 40_000;
+    }
+    let fingerprint = |r: &ServeReport| {
+        (
+            r.served,
+            r.rejected,
+            r.shed,
+            r.makespan_cycles,
+            [0.5, 0.9, 0.99, 0.999, 1.0].map(|q| r.quantile_cycles(q)),
+            r.table_digest,
+            r.trace.canonical_bytes(),
+        )
+    };
+    let reference = fingerprint(&serve_stream(artifact.program(), &app, &stream, &base));
+    assert!(!reference.6.is_empty(), "collision run must produce trace bytes");
+    for workers in [1, 4] {
+        let cfg = ServeConfig { workers, ..base.clone() };
+        let got = fingerprint(&serve_stream(artifact.program(), &app, &stream, &cfg));
+        assert_eq!(reference, got, "collision run diverged at workers={workers}");
+    }
 }

@@ -6,11 +6,14 @@
 //!   fault outcome counts or the final KV-table digest — shards commit
 //!   only reference executions and the fault schedule keys on global
 //!   request ids, so the resident state is a pure function of the
-//!   committed request sequence per key.
+//!   committed request sequence per key;
+//! * virtual-time overflow dies loudly: a stream whose arrivals sit
+//!   near `u64::MAX` panics naming the shard component that would have
+//!   wrapped, instead of silently lapping the clock.
 
 use elzar::{Artifact, Mode};
 use elzar_apps::Scale;
-use elzar_serve::{serve_program, ServeConfig, ServeReport, Service};
+use elzar_serve::{serve_program, serve_stream, ServeConfig, ServeReport, Service};
 
 /// Build the hardened artifact and serve the service's stream on it —
 /// the same `Artifact::build` + `serve_program` composition
@@ -102,4 +105,43 @@ fn elzar_mode_corrects_online_where_native_corrupts() {
         hardened.count(Outcome::Sdc)
     );
     assert!(hardened.sdc_rate() < 0.02, "hardened SDC rate {}", hardened.sdc_rate());
+}
+
+/// A stream whose arrivals crowd `u64::MAX` must die loudly in the
+/// shard clock arithmetic — naming the component — not wrap and serve
+/// requests in a lapped past.
+#[test]
+fn near_max_arrivals_panic_naming_the_shard_component() {
+    let service = Service::KvA;
+    let app = service.app(Scale::Tiny);
+    let artifact = Artifact::build(&app.module, &Mode::elzar_default());
+    let cfg = ServeConfig {
+        shards: 2,
+        workers: 1,
+        requests: 16,
+        seed: 0xBADC_0FFE,
+        queue_capacity: 1 << 20,
+        mean_gap_cycles: 1_000,
+        ..Default::default()
+    };
+    let mut stream = service.stream(&app, &cfg);
+    // Shift the (monotone) arrivals so the last lands 8 cycles shy of
+    // the end of virtual time: the first completion estimate wraps.
+    let n = stream.len() as u64;
+    for (i, req) in stream.iter_mut().enumerate() {
+        req.arrival = u64::MAX - 8 - (n - i as u64);
+    }
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve_stream(artifact.program(), &app, &stream, &cfg)
+    }))
+    .expect_err("near-MAX arrivals must panic, not wrap");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(
+        msg.contains("virtual-time overflow") && msg.contains("shard"),
+        "panic must name the shard component, got: {msg}"
+    );
 }

@@ -12,8 +12,7 @@
 //!    `failover`/`rebuild` detours on each shard row.
 //!
 //! Everything is stamped in *virtual* cycles, so the trace — down to
-//! its byte serialization — is identical no matter how many host
-//! workers drained the shards.
+//! its byte serialization — is a pure function of the configuration.
 //!
 //! ```sh
 //! cargo run --release --example serve_trace
@@ -31,7 +30,6 @@ fn main() {
     let artifact = Artifact::build(&app.module, &Mode::elzar_default());
     let cfg = ServeConfig {
         shards: 2,
-        workers: 2,
         batch_size: 8,
         snapshot_interval: 16,
         requests: 360,

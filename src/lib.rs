@@ -17,6 +17,5 @@ pub use elzar_ir;
 pub use elzar_obs;
 pub use elzar_passes;
 pub use elzar_serve;
-pub use elzar_sim;
 pub use elzar_vm;
 pub use elzar_workloads;
