@@ -12,6 +12,7 @@
 //! plus a YCSB generator ([`ycsb`]) with the two extreme workloads the
 //! paper uses (A: 50/50 Zipf; D: 95/5 latest).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod db;

@@ -27,6 +27,7 @@
 //! assert_eq!(diff.ptest(LaneWidth::B64, 4), PtestResult::AllFalse);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

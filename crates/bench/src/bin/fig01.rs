@@ -2,6 +2,8 @@
 //! over no-SIMD builds — the motivation that SIMD units sit idle in most
 //! applications.
 
+#![forbid(unsafe_code)]
+
 use elzar::{ArtifactSet, Mode};
 use elzar_apps::{App, AppParams, YcsbWorkload};
 use elzar_bench::{banner, run_artifact, scale_from_env};

@@ -9,6 +9,8 @@
 //! `ELZAR_CAMPAIGN_THREADS` host workers and printed in order — the
 //! numbers are identical to the serial sweep, only faster.
 
+#![forbid(unsafe_code)]
+
 use elzar::{normalized_runtime, ArtifactSet, Mode};
 use elzar_bench::{
     assert_builds, banner, campaign_workers_from_env, mean, run_artifact, scale_from_env, thread_sweep,

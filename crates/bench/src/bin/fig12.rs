@@ -1,6 +1,8 @@
 //! Figure 12: overhead breakdown by successively disabling ELZAR's checks
 //! (loads → +stores → +branches → all), at the peak thread count.
 
+#![forbid(unsafe_code)]
+
 use elzar::{normalized_runtime, ArtifactSet, CheckConfig, Config, Mode};
 use elzar_bench::{banner, max_threads, mean, run_artifact, scale_from_env};
 use elzar_workloads::{all_workloads, short_name};

@@ -7,6 +7,8 @@
 //! reference execution is computed once per artifact, never per
 //! campaign invocation.
 
+#![forbid(unsafe_code)]
+
 use elzar::{ArtifactSet, Mode};
 use elzar_bench::{assert_builds, banner, campaign_config, campaign_workers_from_env, fi_runs_from_env};
 use elzar_fault::{Outcome, OutcomeClass};

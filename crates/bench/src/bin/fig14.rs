@@ -1,6 +1,8 @@
 //! Figure 14: ELZAR vs the SWIFT-R instruction-triplication baseline at
 //! the peak thread count, with the per-benchmark delta annotations.
 
+#![forbid(unsafe_code)]
+
 use elzar::{normalized_runtime, ArtifactSet, Mode};
 use elzar_bench::{banner, max_threads, mean, run_artifact, scale_from_env};
 use elzar_workloads::{all_workloads, short_name};

@@ -4,6 +4,8 @@
 //! Apps are thread-count-agnostic, so each `(app, workload, mode)` is
 //! built once and the whole thread sweep runs on the shared artifact.
 
+#![forbid(unsafe_code)]
+
 use elzar::{ArtifactSet, Mode};
 use elzar_apps::{throughput, App, AppParams, YcsbWorkload};
 use elzar_bench::{banner, run_artifact, scale_from_env, thread_sweep};

@@ -3,6 +3,8 @@
 //! relative to a dummy-wrapper "decelerated" native build) and the direct
 //! measurement our simulator additionally allows (future-AVX ELZAR).
 
+#![forbid(unsafe_code)]
+
 use elzar::{normalized_runtime, ArtifactSet, Mode};
 use elzar_bench::{banner, max_threads, mean, run_artifact, scale_from_env};
 use elzar_workloads::{all_workloads, short_name};

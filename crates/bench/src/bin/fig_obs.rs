@@ -23,6 +23,8 @@
 //! Knobs: `ELZAR_SCALE` (service problem size), `ELZAR_OBS_REPS`
 //! (wall-clock repetitions per cell, default 5).
 
+#![forbid(unsafe_code)]
+
 use elzar::{Artifact, Mode};
 use elzar_bench::report::{chrome_trace, write_report, Json};
 use elzar_bench::{banner, scale_from_env};

@@ -53,6 +53,8 @@
 //! (stream length, default by scale), `ELZAR_SERVE_FAULT_PPM`
 //! (per-request SEU probability, default 20000 = 2%).
 
+#![forbid(unsafe_code)]
+
 use elzar::{Artifact, ArtifactSet, Mode};
 use elzar_bench::report::{write_report, Json};
 use elzar_bench::{banner, scale_from_env};

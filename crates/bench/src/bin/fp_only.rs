@@ -1,6 +1,8 @@
 //! §V-B "Floating point-only protection": ELZAR restricted to FP data on
 //! the three FP-heavy PARSEC benchmarks.
 
+#![forbid(unsafe_code)]
+
 use elzar::{normalized_runtime, ArtifactSet, Mode};
 use elzar_bench::{banner, run_artifact, scale_from_env, thread_sweep};
 use elzar_workloads::{by_name, short_name};

@@ -2,6 +2,8 @@
 //! branch miss ratio, and the load/store/branch fractions of executed
 //! instructions.
 
+#![forbid(unsafe_code)]
+
 use elzar::{ArtifactSet, Mode};
 use elzar_bench::{banner, max_threads, run_artifact, scale_from_env};
 use elzar_workloads::{all_workloads, short_name};

@@ -1,6 +1,8 @@
 //! Table III: instruction-level parallelism (native / ELZAR / SWIFT-R)
 //! and the instruction-increase factors of both hardening schemes.
 
+#![forbid(unsafe_code)]
+
 use elzar::{instr_increase, ArtifactSet, Mode};
 use elzar_bench::{banner, max_threads, run_artifact, scale_from_env};
 use elzar_workloads::{all_workloads, short_name};

@@ -6,6 +6,8 @@
 //! still as artifacts, so lowering and accounting match every other
 //! harness.
 
+#![forbid(unsafe_code)]
+
 use elzar::{Artifact, Mode};
 use elzar_bench::banner;
 use elzar_vm::MachineConfig;

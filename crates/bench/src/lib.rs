@@ -43,6 +43,7 @@
 //! * `ELZAR_SERVE_REQUESTS` / `ELZAR_SERVE_FAULT_PPM` = `fig_serve`
 //!   stream length and per-request SEU probability (ppm).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;

@@ -48,6 +48,7 @@
 //! assert!(rh.cycles > rn.cycles, "TMR is not free");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use elzar_apps::ServeApp;

@@ -23,6 +23,7 @@
 //! assert!(core.cycles() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod branch;

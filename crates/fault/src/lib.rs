@@ -51,6 +51,7 @@
 //! assert_eq!(result.total(), 50);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use elzar_obs::debug;

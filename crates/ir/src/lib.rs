@@ -33,6 +33,7 @@
 //! verify_module(&m).expect("well-formed");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -44,6 +44,7 @@
 //! Wall-clock text for a human at a terminal; it is deliberately *not*
 //! part of the deterministic canonical trace.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;

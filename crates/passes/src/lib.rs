@@ -30,6 +30,7 @@
 //! elzar_ir::verify::verify_module(&hardened).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dce;

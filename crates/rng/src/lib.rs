@@ -17,6 +17,7 @@
 //! assert!((1..=6).contains(&x));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// splitmix64 step — used for seeding and as a cheap stateless mixer.

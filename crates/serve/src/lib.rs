@@ -90,6 +90,7 @@
 //! assert!(report.quantile_cycles(0.99) >= report.quantile_cycles(0.50));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -7,6 +7,12 @@
 //! hooks the fault-injection framework needs (eligible-instruction
 //! counting, destination-register bit flips, Table-I trap taxonomy).
 //!
+//! Two engines run a machine, picked by [`MachineConfig::engine`]: the
+//! per-instruction reference interpreter and the default superblock
+//! trace engine ([`trace`]), whose full-register vector ops run
+//! portable 256-bit kernels. Every virtual result is bit-identical
+//! under both.
+//!
 //! ```
 //! use elzar_ir::builder::{c64, FuncBuilder};
 //! use elzar_ir::{Module, Ty};
@@ -23,18 +29,18 @@
 //! assert_eq!(result.outcome, RunOutcome::Exited(42));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod kernels;
 pub mod lower;
 pub mod machine;
 pub mod memory;
 pub mod trace;
 
-pub use elzar_engine::{avx2_available, cpu_features, Backend, Engine, EngineKind};
 pub use lower::{DGroup, LBlock, LFunc, LInst, LKind, LOp, LPhi, LTerm, Program, VMeta, NO_DST};
 pub use machine::{
-    run_program, FaultPlan, Machine, MachineConfig, RecoveryPolicy, ReferenceEngine, RtVal, RunOutcome,
-    RunResult, TraceScalarEngine, TraceSimdEngine,
+    run_program, EngineKind, FaultPlan, Machine, MachineConfig, RecoveryPolicy, RtVal, RunOutcome, RunResult,
 };
 pub use memory::{Memory, Trap, DEFAULT_MEM_SIZE, GLOBAL_BASE, HEAP_BASE, INPUT_BASE, STACK_SIZE};
 pub use trace::Trace;

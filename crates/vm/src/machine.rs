@@ -16,13 +16,12 @@
 //! index, one bit of that instruction's destination register is flipped
 //! (a GPR bit for scalars, one YMM lane bit for vectors).
 
+use crate::kernels::BinKernel;
 use crate::lower::{DGroup, LInst, LKind, LOp, LPhi, LTerm, Program, VMeta, NO_DST};
 use crate::memory::{Memory, Trap, DEFAULT_MEM_SIZE, INPUT_BASE};
 use crate::trace::{TOp, Trace};
 use elzar_avx::{majority_extended, majority_simple, LaneWidth, MajorityOutcome, Ymm};
 use elzar_cpu::{Core, Counters, InstClass, SharedL3};
-use elzar_engine::kernels::{self, KernelTable};
-use elzar_engine::{Backend, Engine, EngineKind};
 use elzar_ir::{BinOp, Builtin, CastOp, CmpPred, RmwOp};
 use std::collections::VecDeque;
 
@@ -43,6 +42,32 @@ pub enum RecoveryPolicy {
     /// Extended: full agreement-group analysis; stops on 2+2 splits.
     #[default]
     Extended,
+}
+
+/// Which execution engine runs a machine.
+///
+/// Both engines produce bit-identical virtual results — outcomes, output
+/// bytes, cycles, counters, eligible counts, campaign classifications —
+/// and differ only in host time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum EngineKind {
+    /// The per-instruction reference interpreter: the baseline the trace
+    /// engine is checked against.
+    Reference,
+    /// Superblock trace execution ([`crate::trace`]) with whole-register
+    /// kernels for the hardened TMR ops. The default.
+    #[default]
+    Trace,
+}
+
+impl EngineKind {
+    /// Lower-case name, as used in benchmark reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            EngineKind::Reference => "reference",
+            EngineKind::Trace => "trace",
+        }
+    }
 }
 
 /// Machine configuration.
@@ -69,8 +94,8 @@ pub struct MachineConfig {
     pub fault: Option<FaultPlan>,
     /// Recovery routine selection.
     pub recovery: RecoveryPolicy,
-    /// Execution engine (resolved once per machine; the `ELZAR_ENGINE`
-    /// environment variable overrides it at resolution time).
+    /// Execution engine. Both engines give bit-identical virtual
+    /// results; only host time differs.
     pub engine: EngineKind,
 }
 
@@ -380,8 +405,6 @@ pub struct Machine<'p> {
     heartbeat_cycles: Vec<u64>,
     input_len: u64,
     phi_scratch: Vec<(u32, RtVal, u64)>,
-    backend: Backend,
-    kern: &'static KernelTable,
 }
 
 /// Run `entry` (a function taking no meaningful arguments) of `prog` over
@@ -397,7 +420,6 @@ pub fn run_program(prog: &Program, entry: &str, input: &[u8], cfg: MachineConfig
 
 impl<'p> Machine<'p> {
     fn new(prog: &'p Program, input: &[u8], cfg: MachineConfig) -> Machine<'p> {
-        let backend = cfg.engine.resolve();
         Machine {
             prog,
             cfg,
@@ -414,8 +436,6 @@ impl<'p> Machine<'p> {
             heartbeat_cycles: Vec::new(),
             input_len: input.len() as u64,
             phi_scratch: Vec::new(),
-            backend,
-            kern: kernels::table(backend == Backend::TraceSimd),
         }
     }
 
@@ -667,8 +687,6 @@ impl<'p> Machine<'p> {
             heartbeat_cycles,
             input_len,
             phi_scratch: _,
-            backend,
-            kern,
         } = self;
         let MachineConfig {
             mem_size,
@@ -694,8 +712,7 @@ impl<'p> Machine<'p> {
                     twin.cfg.recovery,
                     twin.cfg.engine,
                 )
-            && (*heartbeats, *input_len, *backend) == (twin.heartbeats, twin.input_len, twin.backend)
-            && std::ptr::eq(*kern, twin.kern)
+            && (*heartbeats, *input_len) == (twin.heartbeats, twin.input_len)
             && *output == twin.output
             && *heartbeat_cycles == twin.heartbeat_cycles
             && threads.len() == twin.threads.len()
@@ -743,14 +760,14 @@ impl<'p> Machine<'p> {
     }
 
     fn step_quantum(&mut self, t: usize) -> Result<(), Trap> {
-        match self.backend {
-            Backend::Reference => self.step_quantum_ref(t),
-            Backend::TraceScalar | Backend::TraceSimd => self.step_quantum_trace_with(t, self.kern),
+        match self.cfg.engine {
+            EngineKind::Reference => self.step_quantum_ref(t),
+            EngineKind::Trace => self.step_quantum_trace(t),
         }
     }
 
     /// Reference engine: one pre-decoded instruction at a time.
-    pub(crate) fn step_quantum_ref(&mut self, t: usize) -> Result<(), Trap> {
+    fn step_quantum_ref(&mut self, t: usize) -> Result<(), Trap> {
         for _ in 0..self.cfg.quantum {
             if self.threads[t].state != TState::Ready {
                 break;
@@ -765,11 +782,7 @@ impl<'p> Machine<'p> {
     /// fault-injection window. The quantum budget is shared between the
     /// two paths so the interleave with other threads is identical to
     /// the reference engine's.
-    pub(crate) fn step_quantum_trace_with(
-        &mut self,
-        t: usize,
-        kern: &'static KernelTable,
-    ) -> Result<(), Trap> {
+    fn step_quantum_trace(&mut self, t: usize) -> Result<(), Trap> {
         let prog = self.prog;
         let mut budget = self.cfg.quantum as usize;
         while budget > 0 {
@@ -783,7 +796,7 @@ impl<'p> Machine<'p> {
             if ip == 0 {
                 let tr = &prog.traces[func as usize][block as usize];
                 if !tr.ops.is_empty() && self.trace_window_safe(tr) {
-                    let used = self.exec_trace(t, tr, budget, kern)?;
+                    let used = self.exec_trace(t, tr, budget)?;
                     // `used == 0` means the first op is a fused pattern
                     // wider than the remaining budget: step through it
                     // per-instruction instead of spinning.
@@ -823,13 +836,7 @@ impl<'p> Machine<'p> {
     /// multi-step patterns that keep intermediates in registers while
     /// committing every intermediate slot exactly as the unfused
     /// sequence would.
-    fn exec_trace(
-        &mut self,
-        t: usize,
-        tr: &Trace,
-        budget: usize,
-        kern: &'static KernelTable,
-    ) -> Result<usize, Trap> {
+    fn exec_trace(&mut self, t: usize, tr: &Trace, budget: usize) -> Result<usize, Trap> {
         let Machine { threads, mem, l3, steps, eligible, corrections, phi_scratch, .. } = self;
         let ThreadCtx { frames, core, sp, stack_limit, .. } = &mut threads[t];
         let fr = frames.last_mut().expect("live thread has a frame");
@@ -1007,7 +1014,7 @@ impl<'p> Machine<'p> {
                     let (vb, rb) = read_op(fr, b);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[ra, rb]);
                     let (ya, yb) = (va.v(m), vb.v(m));
-                    let out = (kern.bin[*k as usize])(ya.limbs_ref(), yb.limbs_ref());
+                    let out = k.apply(ya.limbs_ref(), yb.limbs_ref());
                     put!(*dst, RtVal::V(Ymm::from_limbs(out)), done);
                 }
                 TOp::VBinL { op, m, pc, dst, a, b } => {
@@ -1026,7 +1033,7 @@ impl<'p> Machine<'p> {
                     let (vb, rb) = read_op(fr, b);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[ra, rb]);
                     let (ya, yb) = (va.v(m), vb.v(m));
-                    let out = (kern.bin[*k as usize])(ya.limbs_ref(), yb.limbs_ref());
+                    let out = k.apply(ya.limbs_ref(), yb.limbs_ref());
                     put!(*dst, RtVal::V(Ymm::from_limbs(out)), done);
                 }
                 TOp::VCmpL { pred, m, pc, dst, a, b } => {
@@ -1062,7 +1069,7 @@ impl<'p> Machine<'p> {
                 TOp::ShufRot { k, m, pc, dst, a } => {
                     let (va, ra) = read_op(fr, a);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[ra]);
-                    let out = (kern.un[*k as usize])(va.v(m).limbs_ref());
+                    let out = k.apply(va.v(m).limbs_ref());
                     put!(*dst, RtVal::V(Ymm::from_limbs(out)), done);
                 }
                 TOp::Shuf { m, pc, dst, a, mask } => {
@@ -1121,11 +1128,11 @@ impl<'p> Machine<'p> {
                     let ya = fr.slots[*a as usize].v(m);
                     let ra = fr.ready[*a as usize];
                     let r1 = core.retire_precosted(pc_shuf.cost, pc_shuf.avx, &[ra]);
-                    let rot = (kern.un[*k as usize])(ya.limbs_ref());
+                    let rot = k.apply(ya.limbs_ref());
                     put!(*d_shuf, RtVal::V(Ymm::from_limbs(rot)), r1);
                     *steps += 1;
                     let r2 = core.retire_precosted(pc_xor.cost, pc_xor.avx, &[ra, r1]);
-                    let x = (kern.bin[kernels::BinKernel::Xor as usize])(ya.limbs_ref(), &rot);
+                    let x = BinKernel::Xor.apply(ya.limbs_ref(), &rot);
                     put!(*d_xor, RtVal::V(Ymm::from_limbs(x)), r2);
                     *steps += 1;
                     let r3 = core.retire_precosted(pc_ptest.cost, pc_ptest.avx, &[r2]);
@@ -1155,7 +1162,7 @@ impl<'p> Machine<'p> {
                     let (va, ra) = read_op(fr, a);
                     let (vb, rb) = read_op(fr, b);
                     let r1 = core.retire_precosted(pc_cmp.cost, pc_cmp.avx, &[ra, rb]);
-                    let mask = (kern.bin[*k as usize])(va.v(m).limbs_ref(), vb.v(m).limbs_ref());
+                    let mask = k.apply(va.v(m).limbs_ref(), vb.v(m).limbs_ref());
                     put!(*d_mask, RtVal::V(Ymm::from_limbs(mask)), r1);
                     *steps += 1;
                     let r2 = core.retire_precosted(pc_ptest.cost, pc_ptest.avx, &[r1]);
@@ -1232,16 +1239,16 @@ impl<'p> Machine<'p> {
                     let (va, ra) = read_op(fr, a);
                     let (vb, rb) = read_op(fr, b);
                     let r1 = core.retire_precosted(pc1.cost, pc1.avx, &[ra, rb]);
-                    let out1 = (kern.bin[*k1 as usize])(va.v(m1).limbs_ref(), vb.v(m1).limbs_ref());
+                    let out1 = k1.apply(va.v(m1).limbs_ref(), vb.v(m1).limbs_ref());
                     put!(*d1, RtVal::V(Ymm::from_limbs(out1)), r1);
                     *steps += 1;
                     let (vo, ro) = read_op(fr, o);
                     let r2 = core.retire_precosted(pc2.cost, pc2.avx, &[r1, ro]);
                     let yo = vo.v(m2);
                     let out2 = if *swapped {
-                        (kern.bin[*k2 as usize])(yo.limbs_ref(), &out1)
+                        k2.apply(yo.limbs_ref(), &out1)
                     } else {
-                        (kern.bin[*k2 as usize])(&out1, yo.limbs_ref())
+                        k2.apply(&out1, yo.limbs_ref())
                     };
                     put!(*d2, RtVal::V(Ymm::from_limbs(out2)), r2);
                 }
@@ -1269,9 +1276,9 @@ impl<'p> Machine<'p> {
                     let r2 = core.retire_precosted(pc_b.cost, pc_b.avx, &[r1, ro]);
                     let yo = vo.v(bm);
                     let out = if *swapped {
-                        (kern.bin[*k as usize])(yo.limbs_ref(), y.limbs_ref())
+                        k.apply(yo.limbs_ref(), y.limbs_ref())
                     } else {
-                        (kern.bin[*k as usize])(y.limbs_ref(), yo.limbs_ref())
+                        k.apply(y.limbs_ref(), yo.limbs_ref())
                     };
                     put!(*d2, RtVal::V(Ymm::from_limbs(out)), r2);
                 }
@@ -2049,53 +2056,6 @@ impl<'p> Machine<'p> {
     }
 }
 
-/// The per-instruction reference interpreter as a pluggable
-/// [`Engine`] — the baseline every other engine must match bit-for-bit.
-pub struct ReferenceEngine;
-
-/// Trace execution pinned to the portable scalar kernel table.
-pub struct TraceScalarEngine;
-
-/// Trace execution using the AVX2 kernel table when the host has AVX2
-/// (bit-identical scalar fallback otherwise).
-pub struct TraceSimdEngine;
-
-impl<'p> Engine<Machine<'p>> for ReferenceEngine {
-    type Error = Trap;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::Reference
-    }
-
-    fn step_quantum(&self, m: &mut Machine<'p>, thread: usize) -> Result<(), Trap> {
-        m.step_quantum_ref(thread)
-    }
-}
-
-impl<'p> Engine<Machine<'p>> for TraceScalarEngine {
-    type Error = Trap;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::TraceScalar
-    }
-
-    fn step_quantum(&self, m: &mut Machine<'p>, thread: usize) -> Result<(), Trap> {
-        m.step_quantum_trace_with(thread, kernels::table(false))
-    }
-}
-
-impl<'p> Engine<Machine<'p>> for TraceSimdEngine {
-    type Error = Trap;
-
-    fn kind(&self) -> EngineKind {
-        EngineKind::TraceSimd
-    }
-
-    fn step_quantum(&self, m: &mut Machine<'p>, thread: usize) -> Result<(), Trap> {
-        m.step_quantum_trace_with(thread, kernels::table(elzar_engine::avx2_available()))
-    }
-}
-
 #[inline]
 fn read_op(fr: &Frame, op: &LOp) -> (RtVal, u64) {
     match op {
@@ -2178,35 +2138,51 @@ fn sext(v: u64, bits: u8) -> i64 {
     }
 }
 
-fn scalar_bin(op: BinOp, m: &VMeta, a: u64, b: u64) -> Result<u64, Trap> {
+// One float lane of a `Bin` op. A NaN operand comes back quieted, the
+// first one when both are NaN (x86's rule for `vaddps` and friends);
+// `FMin`/`FMax` return the other operand when only one is NaN. Rust
+// leaves the payload of a NaN result unspecified and the compiler may
+// swap a commutative op's operands, so without the explicit rule the
+// interpreter and a kernel could return different NaNs for the same
+// lanes. Kernels call these with a constant `op`.
+macro_rules! float_bin {
+    ($name:ident, $t:ty, $quiet_bit:expr) => {
+        #[inline(always)]
+        pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> $t {
+            use BinOp::*;
+            if x.is_nan() || y.is_nan() {
+                let quiet = |n: $t| <$t>::from_bits(n.to_bits() | $quiet_bit);
+                return match op {
+                    FMin | FMax if !x.is_nan() => x,
+                    FMin | FMax if !y.is_nan() => y,
+                    _ if x.is_nan() => quiet(x),
+                    _ => quiet(y),
+                };
+            }
+            match op {
+                FAdd => x + y,
+                FSub => x - y,
+                FMul => x * y,
+                FDiv => x / y,
+                FMin => x.min(y),
+                FMax => x.max(y),
+                _ => unreachable!("int op on float meta"),
+            }
+        }
+    };
+}
+
+float_bin!(fbin32, f32, 1 << 22);
+float_bin!(fbin64, f64, 1 << 51);
+
+pub(crate) fn scalar_bin(op: BinOp, m: &VMeta, a: u64, b: u64) -> Result<u64, Trap> {
     use BinOp::*;
     if m.float {
-        let r = if m.bits == 32 {
-            let (x, y) = (f32::from_bits(a as u32), f32::from_bits(b as u32));
-            let r = match op {
-                FAdd => x + y,
-                FSub => x - y,
-                FMul => x * y,
-                FDiv => x / y,
-                FMin => x.min(y),
-                FMax => x.max(y),
-                _ => unreachable!("int op on float meta"),
-            };
-            u64::from(r.to_bits())
+        return Ok(if m.bits == 32 {
+            u64::from(fbin32(op, f32::from_bits(a as u32), f32::from_bits(b as u32)).to_bits())
         } else {
-            let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-            let r = match op {
-                FAdd => x + y,
-                FSub => x - y,
-                FMul => x * y,
-                FDiv => x / y,
-                FMin => x.min(y),
-                FMax => x.max(y),
-                _ => unreachable!("int op on float meta"),
-            };
-            r.to_bits()
-        };
-        return Ok(r);
+            fbin64(op, f64::from_bits(a), f64::from_bits(b)).to_bits()
+        });
     }
     let mask = m.mask();
     let (a, b) = (a & mask, b & mask);
@@ -2269,7 +2245,7 @@ fn scalar_bin(op: BinOp, m: &VMeta, a: u64, b: u64) -> Result<u64, Trap> {
     Ok(r & mask)
 }
 
-fn scalar_cmp(pred: CmpPred, m: &VMeta, a: u64, b: u64) -> bool {
+pub(crate) fn scalar_cmp(pred: CmpPred, m: &VMeta, a: u64, b: u64) -> bool {
     use CmpPred::*;
     if m.float {
         let (x, y) = if m.bits == 32 {
@@ -2826,11 +2802,10 @@ mod tests {
     fn engines_agree_bit_for_bit() {
         let m = engine_probe_module();
         let p = Program::lower(&m);
-        let runs: Vec<RunResult> =
-            [EngineKind::Reference, EngineKind::Trace, EngineKind::TraceScalar, EngineKind::TraceSimd]
-                .iter()
-                .map(|&engine| run_program(&p, "main", &[], MachineConfig { engine, ..Default::default() }))
-                .collect();
+        let runs: Vec<RunResult> = [EngineKind::Reference, EngineKind::Trace]
+            .iter()
+            .map(|&engine| run_program(&p, "main", &[], MachineConfig { engine, ..Default::default() }))
+            .collect();
         let base = &runs[0];
         assert_eq!(base.outcome, RunOutcome::Exited(3 * 199 * 200 / 2));
         for r in &runs[1..] {
@@ -2845,50 +2820,18 @@ mod tests {
     }
 
     #[test]
-    fn engine_trait_objects_drive_the_machine() {
-        let m = engine_probe_module();
-        let p = Program::lower(&m);
-        let reference = run_program(
-            &p,
-            "main",
-            &[],
-            MachineConfig { engine: EngineKind::Reference, ..Default::default() },
-        );
-        for eng in
-            [&ReferenceEngine as &dyn Engine<Machine, Error = Trap>, &TraceScalarEngine, &TraceSimdEngine]
-        {
-            let mut mach = Machine::start(&p, "main", &[], MachineConfig::default());
-            // Drive thread 0 manually through the trait; the probe is
-            // single-threaded so this is the whole schedule.
-            let outcome = loop {
-                match eng.step_quantum(&mut mach, 0) {
-                    Ok(()) => {}
-                    Err(t) => break RunOutcome::Trapped(t),
-                }
-                if let Some(o) = mach.run_round() {
-                    break o;
-                }
-            };
-            let r = mach.result(outcome);
-            assert_eq!(r.outcome, reference.outcome, "engine {:?}", eng.kind());
-            assert_eq!(r.output, reference.output);
-        }
-    }
-
-    #[test]
     fn fault_campaign_is_engine_invariant() {
         let m = engine_probe_module();
         let p = Program::lower(&m);
         for index in [1, 7, 50, 301, 1203] {
             let fault = Some(FaultPlan { index, bit: 17 });
             let mut outcomes = vec![];
-            for engine in [EngineKind::Reference, EngineKind::TraceScalar, EngineKind::TraceSimd] {
+            for engine in [EngineKind::Reference, EngineKind::Trace] {
                 let cfg = MachineConfig { engine, fault, ..Default::default() };
                 let r = run_program(&p, "main", &[], cfg);
                 outcomes.push((r.outcome, r.output.clone(), r.cycles, r.steps, r.eligible));
             }
-            assert_eq!(outcomes[0], outcomes[1], "fault @{index}: reference vs trace-scalar");
-            assert_eq!(outcomes[0], outcomes[2], "fault @{index}: reference vs trace-simd");
+            assert_eq!(outcomes[0], outcomes[1], "fault @{index}: reference vs trace");
         }
     }
 

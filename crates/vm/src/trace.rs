@@ -28,10 +28,10 @@
 //! enter a trace whose window could contain the planned injection index,
 //! falling back to per-instruction stepping where the flip logic lives.
 
+use crate::kernels::{BinKernel, UnKernel};
 use crate::lower::{LFunc, LInst, LKind, LOp, LTerm, VMeta, NO_DST};
 use elzar_avx::LaneWidth;
 use elzar_cpu::Cost;
-use elzar_engine::kernels::{BinKernel, UnKernel};
 use elzar_ir::{BinOp, CastOp, CmpPred};
 
 /// Precomputed cost of one op: what the reference interpreter would
@@ -630,7 +630,7 @@ fn full_register(m: &VMeta) -> bool {
 /// Kernel for a full-register binary op, if the table has one.
 /// Integer division stays per-lane (it traps); 8-bit multiplies and
 /// sub-32-bit shifts/min/max have no kernel either.
-fn bin_kernel(op: BinOp, m: &VMeta) -> Option<BinKernel> {
+pub(crate) fn bin_kernel(op: BinOp, m: &VMeta) -> Option<BinKernel> {
     use BinKernel as K;
     use LaneWidth as W;
     if !full_register(m) {
@@ -689,7 +689,7 @@ fn bin_kernel(op: BinOp, m: &VMeta) -> Option<BinKernel> {
 }
 
 /// Kernel for a full-register compare, if the table has one.
-fn cmp_kernel(pred: CmpPred, m: &VMeta) -> Option<BinKernel> {
+pub(crate) fn cmp_kernel(pred: CmpPred, m: &VMeta) -> Option<BinKernel> {
     use BinKernel as K;
     use LaneWidth as W;
     if !full_register(m) {
@@ -745,7 +745,7 @@ fn cmp_kernel(pred: CmpPred, m: &VMeta) -> Option<BinKernel> {
 
 /// One-lane-rotate shuffle mask (`mask[i] == (i+1) % lanes`) over a
 /// full register — the Figure-8 check's permutation.
-fn rot_mask(mask: &[u8], m: &VMeta) -> Option<UnKernel> {
+pub(crate) fn rot_mask(mask: &[u8], m: &VMeta) -> Option<UnKernel> {
     if !full_register(m) || mask.len() != m.lanes as usize {
         return None;
     }

@@ -21,6 +21,7 @@
 //! assert!(matches!(r.outcome, elzar_vm::RunOutcome::Exited(_)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

@@ -7,6 +7,8 @@
 //! See the repository `README.md` for a tour and `DESIGN.md` for the full
 //! system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use elzar;
 pub use elzar_apps;
 pub use elzar_avx;

@@ -1,8 +1,8 @@
-//! Engine differential suite: every execution engine must be an exact
-//! drop-in for the reference interpreter.
+//! Engine differential suite: the trace engine must be an exact drop-in
+//! for the reference interpreter.
 //!
-//! The trace engine (scalar and SIMD kernel tables alike) replays the
-//! reference retire sequence with pre-resolved costs, so *everything*
+//! The trace engine replays the reference retire sequence with
+//! pre-resolved costs and whole-register kernels, so *everything*
 //! observable — outcomes, output bytes, cycle counts, perf counters,
 //! eligible-instruction totals, heartbeat timestamps, fault-campaign
 //! classifications, serving-pipeline digests — must be bit-identical.
@@ -10,13 +10,13 @@
 
 use elzar_suite::elzar::{Artifact, Mode};
 use elzar_suite::elzar_apps::{App, AppParams, YcsbWorkload};
-use elzar_suite::elzar_fault::CampaignConfig;
+use elzar_suite::elzar_fault::{CampaignConfig, Outcome};
 use elzar_suite::elzar_serve::{ServeConfig, Service};
 use elzar_suite::elzar_vm::{EngineKind, MachineConfig, RunResult};
 use elzar_suite::elzar_workloads::{all_workloads, by_name, Scale};
 
 /// Engines measured against the `Reference` baseline.
-const ENGINES: [EngineKind; 3] = [EngineKind::Trace, EngineKind::TraceScalar, EngineKind::TraceSimd];
+const ENGINES: [EngineKind; 1] = [EngineKind::Trace];
 
 fn cfg(engine: EngineKind) -> MachineConfig {
     MachineConfig { step_limit: 5_000_000_000, threads: 2, engine, ..MachineConfig::default() }
@@ -72,7 +72,9 @@ fn apps_bit_identical_across_engines() {
 /// A seeded fault-injection campaign classifies every run identically
 /// regardless of engine: the injection points are sampled from the
 /// golden run's eligible count (engine-invariant) and each faulty run's
-/// outcome must match the reference executor's bit for bit.
+/// outcome must match the reference executor's bit for bit. The
+/// Figure-8 check (`rot; xor; ptest; branch`, one fused op in-trace)
+/// must fire live and correct some of the flips.
 #[test]
 fn fault_campaign_is_engine_invariant() {
     let built = by_name("linear_regression").unwrap().build(Scale::Tiny);
@@ -88,6 +90,7 @@ fn fault_campaign_is_engine_invariant() {
     for engine in ENGINES {
         let r = campaign(engine);
         assert_eq!(r.counts, base.counts, "{engine:?}: Table-I outcome counts");
+        assert!(r.rate(Outcome::ElzarCorrected) > 0.0, "{engine:?}: the Figure-8 check never fired");
     }
 }
 
