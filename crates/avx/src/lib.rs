@@ -8,9 +8,9 @@
 //! plumbing.
 //!
 //! The model also provides what real silicon will not: a precise
-//! single-bit fault-injection hook ([`Ymm::flip_bit`]) and majority-vote
-//! helpers implementing the paper's simple and extended recovery policies
-//! (§III-C step 3).
+//! single-bit fault-injection hook ([`Ymm::flip_bit`]) and the
+//! majority vote implementing the paper's extended recovery (§III-C
+//! step 3).
 //!
 //! ```
 //! use elzar_avx::{LaneWidth, PtestResult, Ymm};
@@ -135,11 +135,6 @@ impl Ymm {
         &self.limbs
     }
 
-    /// Mutably borrow the raw limbs, for in-place kernel writes.
-    pub fn limbs_mut(&mut self) -> &mut [u64; 4] {
-        &mut self.limbs
-    }
-
     /// Broadcast `value` (masked to the lane width) across the *whole*
     /// register — [`Ymm::splat`] with `lanes == capacity`, but computed
     /// with four limb writes instead of a per-lane loop. This is the
@@ -242,28 +237,6 @@ impl Ymm {
         self.map2(other, width, lanes, |a, b| if f(a, b) { ones } else { 0 })
     }
 
-    /// In-place lane-wise unary map over the first `lanes` lanes —
-    /// [`Ymm::map`] without materializing a fresh register.
-    pub fn map_assign(&mut self, width: LaneWidth, lanes: usize, mut f: impl FnMut(u64) -> u64) {
-        for i in 0..lanes {
-            self.set_lane(width, i, f(self.lane(width, i)));
-        }
-    }
-
-    /// In-place lane-wise binary map over the first `lanes` lanes —
-    /// [`Ymm::map2`] updating `self` directly.
-    pub fn map2_assign(
-        &mut self,
-        other: &Ymm,
-        width: LaneWidth,
-        lanes: usize,
-        mut f: impl FnMut(u64, u64) -> u64,
-    ) {
-        for i in 0..lanes {
-            self.set_lane(width, i, f(self.lane(width, i), other.lane(width, i)));
-        }
-    }
-
     /// Whole-register xor.
     pub fn xor(&self, other: &Ymm) -> Ymm {
         let mut r = Ymm::ZERO;
@@ -271,13 +244,6 @@ impl Ymm {
             r.limbs[i] = self.limbs[i] ^ other.limbs[i];
         }
         r
-    }
-
-    /// In-place whole-register xor.
-    pub fn xor_assign(&mut self, other: &Ymm) {
-        for i in 0..4 {
-            self.limbs[i] ^= other.limbs[i];
-        }
     }
 
     /// Lane permutation: result lane `i` = source lane `mask[i]`
@@ -348,12 +314,6 @@ impl Ymm {
         self.limbs[(bit / 64) as usize] ^= 1u64 << (bit % 64);
         self
     }
-
-    /// True if the first `lanes` lanes all hold the same value.
-    pub fn lanes_agree(&self, width: LaneWidth, lanes: usize) -> bool {
-        let first = self.lane(width, 0);
-        (1..lanes).all(|i| self.lane(width, i) == first)
-    }
 }
 
 /// Result of a majority vote across replicas.
@@ -370,17 +330,6 @@ pub enum MajorityOutcome {
     /// Two groups of equal size disagree (the paper's scenario 3) — no
     /// majority exists and execution must stop.
     Tie,
-}
-
-/// Simple recovery (§III-C "Step 3", fast variant): compare the two low
-/// lanes; if they agree broadcast lane 0, otherwise broadcast the highest
-/// lane. Correct under the single-corrupted-lane assumption.
-pub fn majority_simple(v: &Ymm, width: LaneWidth, lanes: usize) -> u64 {
-    if lanes >= 2 && v.lane(width, 0) == v.lane(width, 1) {
-        v.lane(width, 0)
-    } else {
-        v.lane(width, lanes - 1)
-    }
 }
 
 /// Extended recovery (§III-C): count agreement groups across all lanes.
@@ -431,16 +380,6 @@ impl fmt::Display for Ymm {
 // Float lane helpers (the VM executes FP vector ops through these).
 // ---------------------------------------------------------------------------
 
-/// Interpret a 32-bit lane as `f32`.
-pub fn f32_from_lane(bits: u64) -> f32 {
-    f32::from_bits(bits as u32)
-}
-
-/// Store an `f32` into a 32-bit lane.
-pub fn f32_to_lane(v: f32) -> u64 {
-    u64::from(v.to_bits())
-}
-
 /// Interpret a 64-bit lane as `f64`.
 pub fn f64_from_lane(bits: u64) -> f64 {
     f64::from_bits(bits)
@@ -475,7 +414,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(r.lane(LaneWidth::B32, i), 0xDEAD_BEEF);
         }
-        assert!(r.lanes_agree(LaneWidth::B32, 8));
     }
 
     #[test]
@@ -552,18 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn majority_simple_matches_paper_fast_path() {
-        // Low two lanes agree -> take lane 0.
-        let v = Ymm::splat(LaneWidth::B64, 4, 9).with_lane(LaneWidth::B64, 3, 1);
-        assert_eq!(majority_simple(&v, LaneWidth::B64, 4), 9);
-        // Low lanes disagree -> the fault is among them; take the top lane.
-        let v = Ymm::splat(LaneWidth::B64, 4, 9).with_lane(LaneWidth::B64, 0, 1);
-        assert_eq!(majority_simple(&v, LaneWidth::B64, 4), 9);
-        let v = Ymm::splat(LaneWidth::B64, 4, 9).with_lane(LaneWidth::B64, 1, 1);
-        assert_eq!(majority_simple(&v, LaneWidth::B64, 4), 9);
-    }
-
-    #[test]
     fn majority_extended_three_scenarios() {
         let w = LaneWidth::B64;
         // Scenario 1: three identical, one faulty.
@@ -604,27 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn in_place_variants_match_copying_ops() {
-        let a = Ymm::from_limbs([0x0123, 0x4567, 0x89AB, 0xCDEF]);
-        let b = Ymm::from_limbs([u64::MAX, 0, 0x5555_5555, 0xAAAA_AAAA]);
-        let mut x = a;
-        x.xor_assign(&b);
-        assert_eq!(x, a.xor(&b));
-        let mut y = a;
-        y.map_assign(LaneWidth::B32, 8, |v| v.wrapping_mul(3));
-        assert_eq!(y, a.map(LaneWidth::B32, 8, |v| v.wrapping_mul(3)));
-        let mut z = a;
-        z.map2_assign(&b, LaneWidth::B64, 4, u64::wrapping_add);
-        assert_eq!(z, a.map2(&b, LaneWidth::B64, 4, u64::wrapping_add));
-        let mut w = a;
-        w.limbs_mut()[2] = 42;
-        assert_eq!(w.limbs_ref()[2], 42);
-        assert_eq!(w.lane(LaneWidth::B64, 2), 42);
-    }
-
-    #[test]
     fn float_lane_roundtrip() {
-        assert_eq!(f32_from_lane(f32_to_lane(1.5)), 1.5);
         assert_eq!(f64_from_lane(f64_to_lane(-2.25)), -2.25);
         let v = Ymm::splat(LaneWidth::B64, 4, f64_to_lane(0.5));
         let sq = v.map(LaneWidth::B64, 4, |b| f64_to_lane(f64_from_lane(b) * 2.0));

@@ -49,9 +49,8 @@
 //! serve differential tests pin this); this harness only measures the
 //! timing surface.
 //!
-//! Knobs: `ELZAR_SCALE` (service problem size), `ELZAR_SERVE_REQUESTS`
-//! (stream length, default by scale), `ELZAR_SERVE_FAULT_PPM`
-//! (per-request SEU probability, default 20000 = 2%).
+//! Knob: `ELZAR_SCALE` (service problem size and stream lengths). The
+//! per-request SEU probability is fixed at 2% ([`FAULT_PPM`]).
 
 #![forbid(unsafe_code)]
 
@@ -62,9 +61,8 @@ use elzar_fault::Outcome;
 use elzar_serve::gen::ScenarioPreset;
 use elzar_serve::{serve_scenario, ScalingPolicy, ServeConfig, ServeReport, Service};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
-}
+/// Per-request SEU probability of the serving sections, in ppm (2%).
+const FAULT_PPM: u32 = 20_000;
 
 /// One serve run's JSON row (shared by all three sections).
 fn row(service: Service, cfg: &ServeConfig, r: &ServeReport) -> Json {
@@ -142,15 +140,14 @@ fn header() {
 fn main() {
     banner("fig_serve", "sharded resident-VM serving: batching, snapshots, tail latency, online faults");
     let scale = scale_from_env();
-    let requests = env_u64("ELZAR_SERVE_REQUESTS", scale.pick(800, 1_600, 6_000));
-    let fault_ppm = env_u64("ELZAR_SERVE_FAULT_PPM", 20_000) as u32;
+    let requests = scale.pick(800, 1_600, 6_000);
     let set = ArtifactSet::new();
     // Saturating offered load: the queue (not the arrival process) is
     // the bottleneck in every configuration, so throughput ratios
     // measure serving capacity.
     let saturating = ServeConfig {
         requests,
-        fault_rate_ppm: fault_ppm,
+        fault_rate_ppm: FAULT_PPM,
         mean_gap_cycles: 150,
         queue_capacity: 1 << 20,
         ..Default::default()
@@ -337,7 +334,7 @@ fn main() {
             shards: 1,
             batch_size: 8,
             mean_gap_cycles: 300,
-            fault_rate_ppm: fault_ppm,
+            fault_rate_ppm: FAULT_PPM,
             ..saturating.clone()
         };
         let mut stream = service.stream(&app, &phased_cfg);
@@ -562,7 +559,7 @@ fn main() {
         "{:>12} {:>10} {:>7} {:>7} {:>9} {:>12} {:>5} {:>5} {:>4} {:>12}",
         "scenario", "policy", "served", "shed", "p99 us", "goodput r/s", "ups", "downs", "peak", "migr cyc"
     );
-    let scenario_requests = env_u64("ELZAR_SCENARIO_REQUESTS", scale.pick(320, 640, 1_280));
+    let scenario_requests = scale.pick(320, 640, 1_280);
     const SCENARIO_GAP: u64 = 12_000; // calm load well under 1-shard capacity
     const SCENARIO_PPM: u32 = 50_000;
     let mut scenario_rows = Vec::new();
@@ -655,7 +652,7 @@ fn main() {
     let json = Json::obj()
         .field("scale", Json::str(format!("{scale:?}")))
         .field("requests", Json::uint(requests))
-        .field("fault_rate_ppm", Json::uint(u64::from(fault_ppm)))
+        .field("fault_rate_ppm", Json::uint(u64::from(FAULT_PPM)))
         .field("configs", Json::Arr(configs))
         .field("speedup_1_to_4", speedups)
         .field("frontier", Json::Arr(frontier))

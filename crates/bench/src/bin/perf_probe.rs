@@ -10,10 +10,8 @@
 //! * `elzar_speedup_trace_vs_reference` — the headline: hardened
 //!   steps/s of the trace engine over the reference interpreter;
 //! * `campaign_runs_per_sec` — fault-injection runs per second on the
-//!   hardened kernel (checkpointed driver, `ELZAR_CAMPAIGN_THREADS`
-//!   workers);
-//! * `campaign_speedup_vs_naive` — same campaign with prefix sharing
-//!   and fan-out disabled, as a ratio.
+//!   hardened kernel (the checkpointed campaign driver,
+//!   `ELZAR_CAMPAIGN_THREADS` workers).
 
 #![forbid(unsafe_code)]
 
@@ -97,10 +95,10 @@ fn interp_rates(artifact: &Artifact, engines: &[EngineKind]) -> Vec<f64> {
 }
 
 /// Campaign runs/second on a shared hardened-kernel artifact. The
-/// golden run comes from the artifact's cache, so successive probes
-/// (fast vs naive) never recompute the reference execution.
-fn campaign_rate(artifact: &Artifact, share_prefixes: bool, workers: u32) -> f64 {
-    let cfg = CampaignConfig { runs: 60, seed: 0xBE7C, workers, share_prefixes, ..Default::default() };
+/// golden run comes from the artifact's cache, so the window times only
+/// injection runs.
+fn campaign_rate(artifact: &Artifact, workers: u32) -> f64 {
+    let cfg = CampaignConfig { runs: 60, seed: 0xBE7C, workers, ..Default::default() };
     let t0 = Instant::now();
     let r = artifact.campaign(&[], &cfg);
     r.total() as f64 / t0.elapsed().as_secs_f64()
@@ -123,12 +121,10 @@ fn main() {
     }
     let workers = campaign_workers_from_env();
     let hardened = Artifact::build(&kernel(5_000), &Mode::elzar_default());
-    // Prime the golden-run cache so both probes time only injection
-    // runs — otherwise the first probe would pay the reference
-    // execution inside its window and bias the speedup ratio.
+    // Prime the golden-run cache so the probe times only injection
+    // runs, not the reference execution.
     hardened.golden(&[], &CampaignConfig::default().machine);
-    let fast = campaign_rate(&hardened, true, workers);
-    let naive = campaign_rate(&hardened, false, 1);
+    let rate = campaign_rate(&hardened, workers);
     let features = Json::Arr(cpu_features().into_iter().map(Json::str).collect());
     let json = Json::obj()
         .field("cpu_features", features)
@@ -136,8 +132,6 @@ fn main() {
         .field("elzar_speedup_trace_vs_reference", Json::num(elzar_rates[1] / elzar_rates[0], 2))
         .field("native_speedup_trace_vs_reference", Json::num(native_rates[1] / native_rates[0], 2))
         .field("campaign_workers", Json::uint(u64::from(workers)))
-        .field("campaign_runs_per_sec", Json::num(fast, 2))
-        .field("campaign_runs_per_sec_naive_serial", Json::num(naive, 2))
-        .field("campaign_speedup_vs_naive", Json::num(fast / naive.max(1e-9), 2));
+        .field("campaign_runs_per_sec", Json::num(rate, 2));
     write_report("BENCH_interp.json", &json);
 }

@@ -40,8 +40,8 @@
 //!   results — parallelism only changes wall-clock time;
 //! * `ELZAR_PASSES` = comma-separated pass-pipeline override applied to
 //!   *every* build (ablations; see `elzar_passes::pm`);
-//! * `ELZAR_SERVE_REQUESTS` / `ELZAR_SERVE_FAULT_PPM` = `fig_serve`
-//!   stream length and per-request SEU probability (ppm).
+//! * `ELZAR_TRACE` = any non-empty value but `0` prints the library's
+//!   debug lines (`elzar_obs::debug`) to stderr.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -150,11 +150,6 @@ impl Cache {
         self.stats.misses
     }
 
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.stats.hits + self.stats.misses
-    }
-
     /// Miss ratio in `[0, 1]` (0 when never accessed).
     pub fn miss_ratio(&self) -> f64 {
         self.stats.miss_ratio()
@@ -265,16 +260,6 @@ impl CoreCaches {
             return self.lat.l3;
         }
         self.lat.mem
-    }
-
-    /// L1D miss ratio (Table II's `L1-miss` column).
-    pub fn l1_miss_ratio(&self) -> f64 {
-        self.l1.miss_ratio()
-    }
-
-    /// L1 accesses (≈ memory references).
-    pub fn l1_accesses(&self) -> u64 {
-        self.l1.accesses()
     }
 
     /// L1 misses.

@@ -243,11 +243,6 @@ impl Core {
         done
     }
 
-    /// Record an ELZAR runtime correction (majority-vote recovery fired).
-    pub fn record_correction(&mut self) {
-        self.counters.corrections += 1;
-    }
-
     /// Synchronize this core's clock forward to `cycle` (used by the VM's
     /// virtual-time model at lock acquisitions, joins and atomic
     /// serialization points). Also stalls the front end until then.
@@ -283,16 +278,6 @@ impl Core {
         } else {
             self.counters.instrs as f64 / self.cycles as f64
         }
-    }
-
-    /// L1D miss ratio.
-    pub fn l1_miss_ratio(&self) -> f64 {
-        self.caches.l1_miss_ratio()
-    }
-
-    /// Branch miss ratio.
-    pub fn branch_miss_ratio(&self) -> f64 {
-        self.pred.miss_ratio()
     }
 }
 

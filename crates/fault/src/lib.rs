@@ -121,6 +121,11 @@ pub enum OutcomeClass {
     Corrupted,
 }
 
+/// Default hang budget, as a multiple of the golden run's retired
+/// instructions: [`CampaignConfig::hang_factor`]'s default, and the
+/// budget the serving runtime gives every injected request.
+pub const HANG_FACTOR: u64 = 20;
+
 /// Campaign parameters.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
@@ -134,12 +139,6 @@ pub struct CampaignConfig {
     pub hang_factor: u64,
     /// Base machine configuration (threads inside the VM etc.).
     pub machine: MachineConfig,
-    /// Share the pre-injection prefix between runs via machine
-    /// checkpoints instead of re-interpreting it per run, and stop a run
-    /// early once it re-converges with the fault-free execution.
-    /// Outcomes are identical either way (execution is deterministic);
-    /// this is a pure wall-clock optimization, on by default.
-    pub share_prefixes: bool,
 }
 
 impl Default for CampaignConfig {
@@ -148,9 +147,8 @@ impl Default for CampaignConfig {
             runs: 200,
             seed: 0xE12A,
             workers: std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(4),
-            hang_factor: 20,
+            hang_factor: HANG_FACTOR,
             machine: MachineConfig::default(),
-            share_prefixes: true,
         }
     }
 }
@@ -519,13 +517,13 @@ const TWIN_ROUND_CAP: u32 = 32;
 /// Execute the given fault plans and return per-plan outcomes in plan
 /// order, fanned out over `cfg.workers` OS threads.
 ///
-/// With `cfg.share_prefixes` (the default) the campaign interprets the
-/// fault-free prefix once. All workers share one *base* machine behind a
-/// lock; a worker claims the next plan in ascending injection order while
-/// holding it, advances the base to just below that plan's injection
-/// point and branches a checkpoint clone off it, then runs the injection
-/// outside the lock. So the base only moves forward, and a plan only
-/// pays for the execution *after* its injection point.
+/// The campaign interprets the fault-free prefix once. All workers share
+/// one *base* machine behind a lock; a worker claims the next plan in
+/// ascending injection order while holding it, advances the base to
+/// just below that plan's injection point and branches a checkpoint
+/// clone off it, then runs the injection outside the lock. So the base
+/// only moves forward, and a plan only pays for the execution *after*
+/// its injection point.
 ///
 /// Each checkpointed run also carries a fault-free twin, a second clone
 /// of the base, advanced round for round beside it. At rounds 1, 2, 4,
@@ -535,10 +533,12 @@ const TWIN_ROUND_CAP: u32 = 32;
 /// classified at once: `ElzarCorrected` if it has recorded corrections,
 /// `Masked` otherwise ([`PlanOutcome::converged`]).
 ///
-/// Without `share_prefixes` every plan re-interprets the whole program
-/// from the start. The strategies produce identical outcomes — the
-/// machine is deterministic, a clone resumes exactly where the original
-/// stood, and equal states have equal futures.
+/// Hand-built plans outside `1..=golden.eligible`, where the fault can
+/// never fire, have no checkpoint to branch from; they run from the
+/// start through [`inject_once`]. Every outcome equals [`inject_once`]'s
+/// for the same plan: the machine is deterministic, a clone resumes
+/// exactly where the original stood, and equal states have equal
+/// futures.
 pub fn run_plans(
     prog: &Program,
     input: &[u8],
@@ -553,9 +553,7 @@ pub fn run_plans(
     // Process plans in ascending injection order so the shared base
     // machine only ever advances; scatter outcomes back to plan order.
     let mut order: Vec<usize> = (0..plans.len()).collect();
-    if cfg.share_prefixes {
-        order.sort_by_key(|&i| plans[i].0);
-    }
+    order.sort_by_key(|&i| plans[i].0);
     // The next position in `order`, and the shared fault-free base.
     let claims: Mutex<(usize, Option<Machine>)> = Mutex::new((0, None));
     let mut outcomes: Vec<Option<PlanOutcome>> = vec![None; plans.len()];
@@ -581,7 +579,7 @@ pub fn run_plans(
                         // `1..=golden.eligible` (where the fault can
                         // never fire) take the plain path instead.
                         let reachable = (1..=golden.eligible).contains(&plans[i].0);
-                        let checkpoint = (cfg.share_prefixes && reachable).then(|| {
+                        let checkpoint = reachable.then(|| {
                             let base = base.get_or_insert_with(|| {
                                 let mut mc = cfg.machine;
                                 mc.fault = None;
@@ -738,26 +736,29 @@ mod tests {
 
     /// The checkpointed driver (one shared base advanced by whole
     /// rounds, early stop at re-convergence) must agree with
-    /// re-interpreting every run from the start, and with itself across
-    /// worker counts: counts, eligibility and golden cycles.
+    /// re-interpreting every run from the start ([`inject_once`]), and
+    /// with itself across worker counts: counts, eligibility and golden
+    /// cycles.
     #[test]
     fn checkpoint_advancement_is_core_invariant() {
         let prog = build(&kernel(), &Mode::elzar_default());
-        let run = |share_prefixes: bool, workers: u32| {
-            run_campaign(
-                &prog,
-                &[],
-                &CampaignConfig { runs: 40, seed: 11, share_prefixes, workers, ..Default::default() },
-            )
+        let run = |workers: u32| {
+            run_campaign(&prog, &[], &CampaignConfig { runs: 40, seed: 11, workers, ..Default::default() })
         };
-        let serial = run(true, 1);
-        for (share_prefixes, workers) in [(true, 3), (false, 1), (false, 3)] {
-            let other = run(share_prefixes, workers);
-            assert_eq!(serial.counts, other.counts, "share_prefixes={share_prefixes} workers={workers}");
+        let machine = MachineConfig::default();
+        let golden = golden_run(&prog, &[], &machine);
+        let mut scratch =
+            CampaignResult { eligible: golden.eligible, golden_cycles: golden.cycles, ..Default::default() };
+        for (index, bit) in sample_plans(11, golden.eligible, 40) {
+            scratch.record(inject_once(&prog, &[], &golden, index, bit, &machine, HANG_FACTOR));
+        }
+        let serial = run(1);
+        for (name, other) in [("workers=3", run(3)), ("inject_once", scratch)] {
+            assert_eq!(serial.counts, other.counts, "{name}");
             assert_eq!(
                 (serial.eligible, serial.golden_cycles),
                 (other.eligible, other.golden_cycles),
-                "share_prefixes={share_prefixes} workers={workers}"
+                "{name}"
             );
         }
     }

@@ -5,9 +5,13 @@
 //! only change wall-clock time, never results.
 
 use elzar::{build, Mode};
-use elzar_fault::{golden_run, run_campaign, run_plans, sample_plans, CampaignConfig, PlanOutcome};
+use elzar_fault::{
+    golden_run, inject_once, run_campaign, run_plans, sample_plans, CampaignConfig, GoldenRun, Outcome,
+    PlanOutcome, HANG_FACTOR,
+};
 use elzar_ir::builder::{c64, FuncBuilder};
 use elzar_ir::{Builtin, Module, Ty};
+use elzar_vm::Program;
 
 /// A compute kernel with observable output and enough instructions for
 /// interesting injection points.
@@ -71,6 +75,15 @@ fn per_run_outcome_sequences_match_across_worker_counts() {
     assert_eq!(serial, parallel, "outcome sequence must not depend on scheduling");
 }
 
+/// The plain path: every plan re-interpreted from the start.
+fn from_scratch(prog: &Program, golden: &GoldenRun, plans: &[(u64, u32)]) -> Vec<Outcome> {
+    let machine = CampaignConfig::default().machine;
+    plans
+        .iter()
+        .map(|&(index, bit)| inject_once(prog, &[], golden, index, bit, &machine, HANG_FACTOR))
+        .collect()
+}
+
 #[test]
 fn checkpointed_and_naive_drivers_agree_exactly() {
     // The checkpoint-sharing driver must be a pure wall-clock
@@ -81,22 +94,43 @@ fn checkpointed_and_naive_drivers_agree_exactly() {
         let machine = CampaignConfig::default().machine;
         let golden = golden_run(&prog, &[], &machine);
         let plans = sample_plans(0xC0DE, golden.eligible, 50);
-        let shared = run_plans(
-            &prog,
-            &[],
-            &golden,
-            &plans,
-            &CampaignConfig { workers: 1, share_prefixes: true, ..Default::default() },
-        );
-        let naive = run_plans(
-            &prog,
-            &[],
-            &golden,
-            &plans,
-            &CampaignConfig { workers: 1, share_prefixes: false, ..Default::default() },
-        );
+        let shared =
+            run_plans(&prog, &[], &golden, &plans, &CampaignConfig { workers: 1, ..Default::default() });
         let outcomes = |runs: Vec<PlanOutcome>| runs.into_iter().map(|p| p.outcome).collect::<Vec<_>>();
-        assert_eq!(outcomes(shared), outcomes(naive), "{mode:?}: checkpointing changed outcomes");
+        assert_eq!(
+            outcomes(shared),
+            from_scratch(&prog, &golden, &plans),
+            "{mode:?}: checkpointing changed outcomes"
+        );
+    }
+}
+
+#[test]
+fn plans_outside_the_eligible_range_run_from_scratch() {
+    // Hand-built plans at index 0 and past the last eligible
+    // instruction (just past, and far past) can never fire, so they have no checkpoint to branch from; mixed
+    // with reachable plans, each still gets exactly `inject_once`'s
+    // outcome, unconverged, for any worker count.
+    for mode in [Mode::NativeNoSimd, Mode::elzar_default()] {
+        let prog = build(&kernel(), &mode);
+        let golden = golden_run(&prog, &[], &CampaignConfig::default().machine);
+        let e = golden.eligible;
+        let plans = [(e + 1, 3), (0, 7), (e / 2, 5), (0, 200), (u64::MAX, 64), (1, 0)];
+        let want: Vec<PlanOutcome> = from_scratch(&prog, &golden, &plans)
+            .into_iter()
+            .map(|outcome| PlanOutcome { outcome, converged: false })
+            .collect();
+        for workers in [1, 3] {
+            let got =
+                run_plans(&prog, &[], &golden, &plans, &CampaignConfig { workers, ..Default::default() });
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                if plans[k].0 == 0 || plans[k].0 > e {
+                    assert_eq!(g, w, "{mode:?} workers={workers}: plan {:?}", plans[k]);
+                } else {
+                    assert_eq!(g.outcome, w.outcome, "{mode:?} workers={workers}: plan {:?}", plans[k]);
+                }
+            }
+        }
     }
 }
 

@@ -36,11 +36,6 @@ impl FuncBuilder {
         &self.f
     }
 
-    /// Mutable access for niche edits (phi fix-ups etc.).
-    pub fn func_mut(&mut self) -> &mut Function {
-        &mut self.f
-    }
-
     /// Value id of parameter `n`.
     pub fn param(&self, n: usize) -> ValueId {
         self.f.param(n)

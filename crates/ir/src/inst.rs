@@ -8,7 +8,7 @@
 //! extensions.
 
 use crate::types::Ty;
-use crate::value::{BlockId, Const, FuncId, Operand};
+use crate::value::{BlockId, FuncId, Operand};
 use std::fmt;
 
 /// Binary arithmetic / logic operations.
@@ -650,69 +650,6 @@ impl Inst {
         }
     }
 
-    /// Mutably visit every operand.
-    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Operand)) {
-        match self {
-            Inst::Bin { a, b, .. } | Inst::Cmp { a, b, .. } => {
-                f(a);
-                f(b);
-            }
-            Inst::Cast { val, .. } => f(val),
-            Inst::Load { addr, .. } => f(addr),
-            Inst::Store { val, addr, .. } => {
-                f(val);
-                f(addr);
-            }
-            Inst::Gep { base, index, .. } => {
-                f(base);
-                f(index);
-            }
-            Inst::Alloca { count, .. } => f(count),
-            Inst::Select { cond, a, b, .. } => {
-                f(cond);
-                f(a);
-                f(b);
-            }
-            Inst::Phi { incomings, .. } => {
-                for (_, v) in incomings {
-                    f(v);
-                }
-            }
-            Inst::Call { args, .. } => {
-                for a in args {
-                    f(a);
-                }
-            }
-            Inst::ExtractElement { vec, idx, .. } => {
-                f(vec);
-                f(idx);
-            }
-            Inst::InsertElement { vec, val, idx, .. } => {
-                f(vec);
-                f(val);
-                f(idx);
-            }
-            Inst::Shuffle { a, .. } => f(a),
-            Inst::Splat { val, .. } => f(val),
-            Inst::Ptest { mask, .. } => f(mask),
-            Inst::Gather { addrs, .. } => f(addrs),
-            Inst::Scatter { val, addrs, .. } => {
-                f(val);
-                f(addrs);
-            }
-            Inst::AtomicRmw { addr, val, .. } => {
-                f(addr);
-                f(val);
-            }
-            Inst::CmpXchg { addr, expected, new, .. } => {
-                f(addr);
-                f(expected);
-                f(new);
-            }
-            Inst::Fence => {}
-        }
-    }
-
     /// True for the paper's "synchronization instructions" (§III-B):
     /// memory operations, atomics and calls — the instructions ILR/ELZAR
     /// never replicate and must guard with checks.
@@ -802,16 +739,6 @@ impl Terminator {
         }
     }
 
-    /// Mutably visit operands of the terminator.
-    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Operand)) {
-        match self {
-            Terminator::CondBr { cond, .. } => f(cond),
-            Terminator::PtestBr { flags, .. } => f(flags),
-            Terminator::Ret { val: Some(v) } => f(v),
-            _ => {}
-        }
-    }
-
     /// Replace block references according to `f`.
     pub fn retarget(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
         match self {
@@ -828,11 +755,6 @@ impl Terminator {
             Terminator::Ret { .. } | Terminator::Unreachable => {}
         }
     }
-}
-
-/// Helper for building constant operands in instruction position.
-pub fn imm(c: Const) -> Operand {
-    Operand::Imm(c)
 }
 
 impl fmt::Display for Builtin {

@@ -101,11 +101,6 @@ impl Function {
         ValueId(n as u32)
     }
 
-    /// Number of SSA values (parameters + instruction results).
-    pub fn num_values(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Type of an SSA value.
     pub fn val_ty(&self, v: ValueId) -> &Ty {
         &self.vals[v.0 as usize].ty
@@ -170,11 +165,6 @@ impl Function {
     pub fn num_insts(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
-
-    /// Iterate `(BlockId, &Block)`.
-    pub fn iter_blocks(&self) -> impl Iterator<Item = (BlockId, &Block)> {
-        self.blocks.iter().enumerate().map(|(i, b)| (BlockId(i as u32), b))
-    }
 }
 
 /// A translation unit: a set of functions plus initial global data.
@@ -209,11 +199,6 @@ impl Module {
     /// Borrow a function.
     pub fn func(&self, id: FuncId) -> &Function {
         &self.funcs[id.0 as usize]
-    }
-
-    /// Mutably borrow a function.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.0 as usize]
     }
 
     /// Reserve `bytes` of zeroed global space, returning its offset from

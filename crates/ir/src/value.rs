@@ -205,11 +205,6 @@ impl Operand {
     pub fn imm_i64(v: i64) -> Operand {
         Operand::Imm(Const::i64(v))
     }
-
-    /// Immediate `i32` shorthand.
-    pub fn imm_i32(v: i64) -> Operand {
-        Operand::Imm(Const::i32(v))
-    }
 }
 
 impl From<ValueId> for Operand {

@@ -206,22 +206,14 @@ pub struct PassStat {
 
 /// Runs pipelines: every pass is followed by a verification of the
 /// transformed module, and timing is recorded per pass.
-#[derive(Clone, Debug, Default)]
-pub struct PassManager {
-    verify: bool,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PassManager;
 
 impl PassManager {
-    /// A verifying pass manager (the default — a pass that emits invalid
-    /// IR is a bug worth an immediate panic).
+    /// A pass manager. It always verifies: a pass that emits invalid IR
+    /// is a bug worth an immediate panic.
     pub fn new() -> PassManager {
-        PassManager { verify: true }
-    }
-
-    /// Disable post-pass verification (benchmarking the passes
-    /// themselves; never for artifacts handed to the VM).
-    pub fn without_verify() -> PassManager {
-        PassManager { verify: false }
+        PassManager
     }
 
     /// Run `pipeline` over (a clone of) `m`, returning the transformed
@@ -240,15 +232,13 @@ impl PassManager {
             cur = pass.run(cur);
             let micros = t0.elapsed().as_micros() as u64;
             PASSES_RUN.fetch_add(1, Ordering::Relaxed);
-            if self.verify {
-                if let Err(errs) = elzar_ir::verify::verify_module(&cur) {
-                    panic!(
-                        "pass bug: {} left {} failing verification: {:#?}",
-                        pass.name(),
-                        m.name,
-                        &errs[..errs.len().min(5)]
-                    );
-                }
+            if let Err(errs) = elzar_ir::verify::verify_module(&cur) {
+                panic!(
+                    "pass bug: {} left {} failing verification: {:#?}",
+                    pass.name(),
+                    m.name,
+                    &errs[..errs.len().min(5)]
+                );
             }
             let insts_after = module_insts(&cur);
             debug::emit("passes", || {

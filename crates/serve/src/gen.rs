@@ -206,23 +206,6 @@ pub struct CompiledScenario {
     pub boundaries: Vec<(&'static str, u64)>,
 }
 
-impl CompiledScenario {
-    /// The SEU rate (ppm) in force for request `id` — the last phase
-    /// starting at or before it (0 past the stream's end or for an
-    /// empty scenario).
-    pub fn fault_ppm_at(&self, id: u64) -> u32 {
-        let mut ppm = 0;
-        for &(from, p) in &self.fault_phases {
-            if from <= id {
-                ppm = p;
-            } else {
-                break;
-            }
-        }
-        ppm
-    }
-}
-
 impl Scenario {
     /// Total requests across all phases.
     pub fn requests(&self) -> u64 {
@@ -561,11 +544,12 @@ mod tests {
         // empty phases never shadow real requests... except at their
         // exact boundary, where the last-writer (the empty phase) is
         // fine because zero requests carry its rate.
-        assert_eq!(c.fault_ppm_at(0), 10_000);
-        assert_eq!(c.fault_ppm_at(4), 10_000);
+        let cfg = crate::ServeConfig { fault_phases: c.fault_phases.clone(), ..Default::default() };
+        assert_eq!(cfg.fault_ppm_for(0), 10_000);
+        assert_eq!(cfg.fault_ppm_for(4), 10_000);
         // id 5 sits at the seam where c, d, e all start; e is last.
-        assert_eq!(c.fault_ppm_at(5), 10_000);
-        assert_eq!(c.fault_ppm_at(7), 10_000);
+        assert_eq!(cfg.fault_ppm_for(5), 10_000);
+        assert_eq!(cfg.fault_ppm_for(7), 10_000);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! 7. with [`ServeConfig::replicas`] every shard keeps a *warm
 //!    standby* mirroring the committed log in the background: a
 //!    Crashed-class outcome promotes it in
-//!    [`ServeConfig::failover_cycles`] instead of a restart+replay
+//!    [`FAILOVER_CYCLES`] instead of a restart+replay
 //!    queue stall; [`ServeConfig::compaction`] truncates the elastic
 //!    path's committed log at the fleet-minimum snapshot mark; and
 //!    [`ServeConfig::divergence_check_interval`] runs a state-digest
@@ -104,6 +104,7 @@ use elzar_apps::ycsb::YcsbWorkload;
 use elzar_apps::{kv, web, Scale, ServeApp, FREQ_HZ};
 use elzar_fault::Outcome;
 use elzar_obs::{debug, DRIVER_TRACK};
+pub use shard::{FAILOVER_CYCLES, RESTART_CYCLES};
 // Re-exported so report consumers can name the ledger/trace types
 // without a separate `elzar_obs` dependency.
 pub use elzar_obs::{Category, CycleLedger, EventKind, Trace, TraceEvent, Tracer};
@@ -190,15 +191,12 @@ pub struct ServeConfig {
     /// Keep a *warm standby* per shard: a second machine that mirrors
     /// every committed operation in the background. A Crashed-class
     /// outcome then promotes the standby in
-    /// [`ServeConfig::failover_cycles`] instead of stalling the queue
-    /// for `restart_cycles + suffix replay`; the restart+replay detour
+    /// [`FAILOVER_CYCLES`] instead of stalling the queue
+    /// for [`RESTART_CYCLES`] + suffix replay; the restart+replay detour
     /// still runs, but in background time, rebuilding the new standby
     /// ([`ServeReport::rebuild_cycles`]). Changes
     /// availability/latency, never outcome counts or the table digest.
     pub replicas: bool,
-    /// Virtual-cycle cost of promoting the warm standby (failure
-    /// detection + queue handoff), paid as downtime on each promotion.
-    pub failover_cycles: u64,
     /// Compact the elastic path's global committed log at every epoch
     /// boundary: bring each active shard up to the full log (background
     /// catch-up replay), then truncate each slot at the fleet-minimum
@@ -248,10 +246,6 @@ pub struct ServeConfig {
     /// [`ServeConfig::adaptive_shards`] is on. Changes
     /// latency/throughput, never outcome counts or the table digest.
     pub scaling_policy: ScalingPolicy,
-    /// Virtual-cycle penalty for a shard restart from snapshot.
-    pub restart_cycles: u64,
-    /// Hang budget multiple for faulty executions (see `elzar_fault`).
-    pub hang_factor: u64,
     /// Base machine configuration for shard VMs.
     pub machine: MachineConfig,
 }
@@ -275,9 +269,6 @@ impl Default for ServeConfig {
             slo_cycles: 0,
             shed_slo: false,
             replicas: false,
-            // Promotion is a local handoff, not a rebuild: ~1 us at the
-            // simulated 2 GHz.
-            failover_cycles: 2_000,
             compaction: false,
             divergence_check_interval: 0,
             trace_events: 0,
@@ -287,10 +278,6 @@ impl Default for ServeConfig {
             fault_rate_ppm: 0,
             fault_phases: Vec::new(),
             scaling_policy: ScalingPolicy::Reactive,
-            // Crash detection + swapping in the pre-request snapshot
-            // (usage-proportional, a few MB): ~25 us at 2 GHz.
-            restart_cycles: 50_000,
-            hang_factor: 20,
             machine: MachineConfig { step_limit: 10_000_000_000, ..MachineConfig::default() },
         }
     }
@@ -507,8 +494,8 @@ impl ServeReport {
 
     /// Fraction of total shard-time *not* lost to crash recovery:
     /// `1 - downtime / Σ per-shard lifetime`, where downtime is
-    /// `restart_cycles + suffix replay` per restart (or
-    /// [`ServeConfig::failover_cycles`] per warm-replica promotion) and
+    /// [`RESTART_CYCLES`] + suffix replay per restart (or
+    /// [`FAILOVER_CYCLES`] per warm-replica promotion) and
     /// each shard's lifetime runs from the virtual time it came online
     /// to the time it retired — clamped to the makespan — so elastic
     /// runs integrate shard-cycles over the actual scaling schedule

@@ -101,7 +101,7 @@
 //! background (same solo re-entries, same batched entries), so its
 //! state is bit-identical to the primary's at every commit boundary.
 //! On a Crashed-class outcome the standby is promoted in
-//! [`ServeConfig::failover_cycles`] and re-runs the crashed request;
+//! [`FAILOVER_CYCLES`] and re-runs the crashed request;
 //! the old primary becomes the new standby and the restart+replay
 //! detour moves to background time (`rebuild_cycles`). Because both
 //! machines apply the identical committed sequence, promotion changes
@@ -121,7 +121,7 @@ use crate::gen::{shard_of, Request};
 use crate::histogram::LatencyHistogram;
 use crate::{fnv_fold, ServeConfig, FNV_OFFSET};
 use elzar_apps::{kv, ServeApp};
-use elzar_fault::{inject_probe, replay_suffix, replay_suffix_where, GoldenRun, OutcomeClass};
+use elzar_fault::{inject_probe, replay_suffix, replay_suffix_where, GoldenRun, OutcomeClass, HANG_FACTOR};
 use elzar_obs::{debug, vt_add, vt_mul, Category, CycleLedger, EventKind, Tracer};
 use elzar_rng::{splitmix64, DetRng};
 use elzar_vm::{Machine, Program, RunOutcome};
@@ -131,6 +131,17 @@ use std::collections::VecDeque;
 /// per key per machine: a cache-resident 16-byte entry probe plus the
 /// digest fold.
 const DIVERGENCE_CYCLES_PER_KEY: u64 = 4;
+
+/// Virtual-cycle cost of promoting the warm standby (failure detection
+/// and queue handoff), paid as downtime on each promotion. A local
+/// handoff, not a rebuild: ~1 us at the simulated 2 GHz.
+pub const FAILOVER_CYCLES: u64 = 2_000;
+
+/// Virtual-cycle penalty for a shard restart from snapshot: crash
+/// detection plus swapping in the pre-request snapshot
+/// (usage-proportional, a few MB), ~25 us at 2 GHz. Suffix replay is
+/// charged on top.
+pub const RESTART_CYCLES: u64 = 50_000;
 
 /// Per-shard serving statistics.
 #[derive(Clone, Debug)]
@@ -325,7 +336,7 @@ pub(crate) struct ShardRuntime<'p, 'a> {
     /// primary's exact operations, so its state — memory *and*
     /// microarchitectural — is bit-identical to the primary's at every
     /// commit boundary). On a Crashed-class outcome it is promoted in
-    /// `failover_cycles` instead of the restart+replay detour.
+    /// [`FAILOVER_CYCLES`] instead of the restart+replay detour.
     /// `None` when replicas are off, or after an apply failure degraded
     /// the shard back to cold-restart recovery.
     replica: Option<Machine<'p>>,
@@ -489,15 +500,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         app: &ServeApp,
         cfg: &ServeConfig,
     ) {
-        let mut delta: Vec<&'a [u8]> = Vec::new();
-        for s in 0..PARTITION_SLOTS as usize {
-            if taken >> s & 1 == 1 {
-                for req in &log[s][(self.applied[s] - base[s]) as usize..] {
-                    delta.push(&req.payload);
-                }
-                self.applied[s] = base[s] + log[s].len() as u32;
-            }
-        }
+        let delta = self.take_delta(taken, log, base);
         let cycles = replay_suffix(&mut self.m, app.request_entry, &delta)
             .expect("committed log entries replay cleanly during absorption");
         self.stats.migrated_in_slots += u64::from(taken.count_ones());
@@ -534,13 +537,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         app: &ServeApp,
         cfg: &ServeConfig,
     ) {
-        let mut delta: Vec<&'a [u8]> = Vec::new();
-        for s in 0..PARTITION_SLOTS as usize {
-            for req in &log[s][(self.applied[s] - base[s]) as usize..] {
-                delta.push(&req.payload);
-            }
-            self.applied[s] = base[s] + log[s].len() as u32;
-        }
+        let delta = self.take_delta(u64::MAX, log, base);
         if delta.is_empty() {
             return;
         }
@@ -551,6 +548,28 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         self.mirror_replay(&delta, app);
         self.suffix.extend(delta);
         self.maybe_snapshot(cfg);
+    }
+
+    /// The replay delta of the slots set in the `slots` bitmask: each
+    /// slot's committed log entries past what this machine has already
+    /// applied, in slot order. Marks them applied. `base[s]` is the
+    /// absolute index of `log[s]`'s first entry (the compaction offset).
+    fn take_delta(
+        &mut self,
+        slots: u64,
+        log: &[Vec<&'a Request>],
+        base: &[u32; PARTITION_SLOTS as usize],
+    ) -> Vec<&'a [u8]> {
+        let mut delta: Vec<&'a [u8]> = Vec::new();
+        for s in 0..PARTITION_SLOTS as usize {
+            if slots >> s & 1 == 1 {
+                for req in &log[s][(self.applied[s] - base[s]) as usize..] {
+                    delta.push(&req.payload);
+                }
+                self.applied[s] = base[s] + log[s].len() as u32;
+            }
+        }
+        delta
     }
 
     /// The absolute per-slot applied count captured by this shard's
@@ -629,38 +648,25 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         }
     }
 
-    /// Apply one committed payload on the warm standby — the
+    /// Apply one committed operation on the warm standby — the
     /// background replication step that keeps the replica bit-identical
-    /// to the primary at every commit boundary. A standby that cannot
-    /// apply the committed log is useless: degrade the shard to
-    /// cold-restart recovery instead of aborting the run.
-    fn mirror_solo(&mut self, payload: &[u8], app: &ServeApp) {
+    /// to the primary at every commit boundary. `enter` re-enters the
+    /// standby exactly as the primary was entered (the solo request
+    /// entry, or the batched entry over the same segment, so the
+    /// standby's state, cache included, tracks the primary's); the run
+    /// is charged as mirror cost. A standby that cannot apply the
+    /// committed log is useless: degrade the shard to cold-restart
+    /// recovery instead of aborting the run.
+    fn mirror(&mut self, what: &str, enter: impl FnOnce(&mut Machine<'p>)) {
         let Some(replica) = self.replica.as_mut() else { return };
-        replica.reenter(app.request_entry, payload);
+        enter(replica);
         let outcome = replica.run_to_completion();
         if matches!(outcome, RunOutcome::Exited(_)) {
             self.stats.ledger.charge(Category::Mirror, replica.result(outcome).cycles.max(1));
         } else {
             self.replica = None;
             debug::emit("serve", || {
-                format!("shard {} degraded: standby solo apply failed", self.stats.shard)
-            });
-        }
-    }
-
-    /// Mirror a committed batch segment on the warm standby via the
-    /// same batched entry the primary ran, so the standby's state —
-    /// cache included — tracks the primary exactly.
-    fn mirror_batch(&mut self, parts: &[&[u8]], app: &ServeApp) {
-        let Some(replica) = self.replica.as_mut() else { return };
-        replica.reenter_batch(app.batch_entry, parts);
-        let outcome = replica.run_to_completion();
-        if matches!(outcome, RunOutcome::Exited(_)) {
-            self.stats.ledger.charge(Category::Mirror, replica.result(outcome).cycles.max(1));
-        } else {
-            self.replica = None;
-            debug::emit("serve", || {
-                format!("shard {} degraded: standby batch apply failed", self.stats.shard)
+                format!("shard {} degraded: standby {what} apply failed", self.stats.shard)
             });
         }
     }
@@ -855,7 +861,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                         let replay = replay_suffix(&mut twin, app.request_entry, &self.suffix)
                             .expect("committed suffix replays cleanly on the snapshot");
                         twin.reenter(app.request_entry, &req.payload);
-                        let (o, faulty, faulty_m) = inject_probe(twin, &golden, index, bit, cfg.hang_factor);
+                        let (o, faulty, faulty_m) = inject_probe(twin, &golden, index, bit, HANG_FACTOR);
                         self.stats.injected += 1;
                         self.stats.outcomes[o.index()] += 1;
                         self.tracer.record(EventKind::Injection, t, 0, req.id, o.index() as u64);
@@ -887,7 +893,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                                 if let Some(replica) = self.replica.as_mut() {
                                     // Warm failover: the standby — at
                                     // the pre-request commit boundary —
-                                    // is promoted in `failover_cycles`
+                                    // is promoted in `FAILOVER_CYCLES`
                                     // and re-runs the request (the SEU
                                     // does not recur). The old primary,
                                     // which already holds the committed
@@ -908,25 +914,19 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                                     std::mem::swap(&mut self.m, replica);
                                     mirrored = true;
                                     self.stats.promotions += 1;
-                                    self.stats.ledger.charge(Category::Downtime, cfg.failover_cycles);
-                                    self.stats.ledger.charge(Category::Rebuild, cfg.restart_cycles + replay);
-                                    detour = cfg.failover_cycles;
+                                    self.stats.ledger.charge(Category::Downtime, FAILOVER_CYCLES);
+                                    self.stats.ledger.charge(Category::Rebuild, RESTART_CYCLES + replay);
+                                    detour = FAILOVER_CYCLES;
                                     let at = t + faulty.cycles.max(1);
-                                    self.tracer.record(
-                                        EventKind::Failover,
-                                        at,
-                                        cfg.failover_cycles,
-                                        req.id,
-                                        0,
-                                    );
+                                    self.tracer.record(EventKind::Failover, at, FAILOVER_CYCLES, req.id, 0);
                                     self.tracer.record(
                                         EventKind::Rebuild,
                                         at,
-                                        cfg.restart_cycles + replay,
+                                        RESTART_CYCLES + replay,
                                         req.id,
                                         0,
                                     );
-                                    faulty.cycles.max(1) + cfg.failover_cycles + rerun
+                                    faulty.cycles.max(1) + FAILOVER_CYCLES + rerun
                                 } else {
                                     // Detected crash/hang, no standby:
                                     // production restores the snapshot,
@@ -934,16 +934,16 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                                     // the request; the client waits out
                                     // the detour.
                                     self.stats.ledger.charge(Category::Replay, replay);
-                                    self.stats.ledger.charge(Category::Downtime, cfg.restart_cycles);
-                                    detour = cfg.restart_cycles + replay;
+                                    self.stats.ledger.charge(Category::Downtime, RESTART_CYCLES);
+                                    detour = RESTART_CYCLES + replay;
                                     self.tracer.record(
                                         EventKind::Restart,
                                         t + faulty.cycles.max(1),
-                                        cfg.restart_cycles + replay,
+                                        RESTART_CYCLES + replay,
                                         req.id,
                                         0,
                                     );
-                                    faulty.cycles.max(1) + cfg.restart_cycles + replay + clean.cycles.max(1)
+                                    faulty.cycles.max(1) + RESTART_CYCLES + replay + clean.cycles.max(1)
                                 }
                             }
                             // Masked / corrected / SDC: the faulty
@@ -961,7 +961,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                     self.applied[slot_of(req.key) as usize] += 1;
                     committed.push(req);
                     if !mirrored {
-                        self.mirror_solo(&req.payload, app);
+                        self.mirror("solo", |r| r.reenter(app.request_entry, &req.payload));
                     }
                     self.maybe_divergence_check(app, cfg, 1);
                     k += 1;
@@ -1012,7 +1012,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                         self.applied[slot_of(req.key) as usize] += 1;
                         committed.push(req);
                     }
-                    self.mirror_batch(&parts, app);
+                    self.mirror("batch", |r| r.reenter_batch(app.batch_entry, &parts));
                     self.maybe_divergence_check(app, cfg, seg.len() as u64);
                     k = end;
                 }

@@ -17,7 +17,7 @@
 use elzar::{Artifact, Mode};
 use elzar_apps::Scale;
 use elzar_serve::histogram::LatencyHistogram;
-use elzar_serve::{serve_program, CycleLedger, ServeConfig, ServeReport, Service, Trace};
+use elzar_serve::{serve_program, CycleLedger, ServeConfig, ServeReport, Service, Trace, RESTART_CYCLES};
 
 fn grid_cfg(shards: u32, batch_size: u32, snapshot_interval: u32) -> ServeConfig {
     ServeConfig {
@@ -154,7 +154,7 @@ fn crashes_restore_snapshots_and_replay_the_suffix() {
     assert!(r.injected > 20, "only {} injections", r.injected);
     assert!(r.restarts > 0, "the web parse must crash under a 20% SEU rate");
     assert!(r.replay_cycles() > 0, "a K=16 crash must replay committed suffix requests");
-    assert!(r.downtime_cycles() >= r.restarts * cfg.restart_cycles + r.replay_cycles());
+    assert!(r.downtime_cycles() >= r.restarts * RESTART_CYCLES + r.replay_cycles());
     assert!(r.availability() < 1.0);
     assert!(r.snapshots > 0);
     // Same config, snapshot every request: recovery never replays.

@@ -39,8 +39,6 @@ pub mod memory;
 pub mod trace;
 
 pub use lower::{DGroup, LBlock, LFunc, LInst, LKind, LOp, LPhi, LTerm, Program, VMeta, NO_DST};
-pub use machine::{
-    run_program, EngineKind, FaultPlan, Machine, MachineConfig, RecoveryPolicy, RtVal, RunOutcome, RunResult,
-};
-pub use memory::{Memory, Trap, DEFAULT_MEM_SIZE, GLOBAL_BASE, HEAP_BASE, INPUT_BASE, STACK_SIZE};
+pub use machine::{run_program, EngineKind, FaultPlan, Machine, MachineConfig, RtVal, RunOutcome, RunResult};
+pub use memory::{Memory, Trap, GLOBAL_BASE, HEAP_BASE, INPUT_BASE, STACK_SIZE};
 pub use trace::Trace;

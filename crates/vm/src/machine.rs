@@ -20,7 +20,7 @@ use crate::kernels::BinKernel;
 use crate::lower::{DGroup, LInst, LKind, LOp, LPhi, LTerm, Program, VMeta, NO_DST};
 use crate::memory::{Memory, Trap, DEFAULT_MEM_SIZE, INPUT_BASE};
 use crate::trace::{TOp, Trace};
-use elzar_avx::{majority_extended, majority_simple, LaneWidth, MajorityOutcome, Ymm};
+use elzar_avx::{majority_extended, LaneWidth, MajorityOutcome, Ymm};
 use elzar_cpu::{Core, Counters, InstClass, SharedL3};
 use elzar_ir::{BinOp, Builtin, CastOp, CmpPred, RmwOp};
 use std::collections::VecDeque;
@@ -32,16 +32,6 @@ pub struct FaultPlan {
     pub index: u64,
     /// Raw bit offset; reduced modulo the destination register width.
     pub bit: u32,
-}
-
-/// Which §III-C recovery routine the `recover` builtin runs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum RecoveryPolicy {
-    /// Fast path: compare two low lanes, broadcast lane 0 or the top lane.
-    Simple,
-    /// Extended: full agreement-group analysis; stops on 2+2 splits.
-    #[default]
-    Extended,
 }
 
 /// Which execution engine runs a machine.
@@ -77,23 +67,15 @@ impl EngineKind {
 /// is part of the key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MachineConfig {
-    /// Process memory size in bytes.
-    pub mem_size: u64,
-    /// Maximum live threads (main + spawned).
-    pub max_threads: u32,
     /// Simulated worker threads *requested by the program* via the
     /// `num_threads` builtin. Thread-count-agnostic workloads spawn this
     /// many workers at runtime, so one lowered program serves a whole
     /// thread sweep. Clamped to at least 1.
     pub threads: u32,
-    /// Round-robin quantum in instructions.
-    pub quantum: u32,
     /// Retired-instruction budget; exceeding it reports a hang.
     pub step_limit: u64,
     /// Optional fault to inject.
     pub fault: Option<FaultPlan>,
-    /// Recovery routine selection.
-    pub recovery: RecoveryPolicy,
     /// Execution engine. Both engines give bit-identical virtual
     /// results; only host time differs.
     pub engine: EngineKind,
@@ -101,16 +83,7 @@ pub struct MachineConfig {
 
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
-        MachineConfig {
-            mem_size: DEFAULT_MEM_SIZE,
-            max_threads: 24,
-            threads: 1,
-            quantum: 256,
-            step_limit: u64::MAX,
-            fault: None,
-            recovery: RecoveryPolicy::Extended,
-            engine: EngineKind::default(),
-        }
+        MachineConfig { threads: 1, step_limit: u64::MAX, fault: None, engine: EngineKind::default() }
     }
 }
 
@@ -375,6 +348,10 @@ impl AtomicTable {
     }
 }
 
+/// Maximum live threads (main + spawned); one simulated stack each.
+const MAX_THREADS: u32 = 24;
+/// Round-robin scheduler quantum in instructions.
+const QUANTUM: u32 = 256;
 const CALL_DEPTH_LIMIT: usize = 220;
 const SPAWN_COST: u64 = 2_000;
 const JOIN_COST: u64 = 200;
@@ -423,7 +400,7 @@ impl<'p> Machine<'p> {
         Machine {
             prog,
             cfg,
-            mem: Memory::new(cfg.mem_size, &prog.globals, input, cfg.max_threads),
+            mem: Memory::new(DEFAULT_MEM_SIZE, &prog.globals, input, MAX_THREADS),
             threads: vec![],
             l3: SharedL3::haswell(),
             locks: LockTable::default(),
@@ -443,7 +420,7 @@ impl<'p> Machine<'p> {
         if func as usize >= self.prog.funcs.len() {
             return Err(Trap::BadFunction);
         }
-        if self.threads.len() as u32 >= self.cfg.max_threads {
+        if self.threads.len() as u32 >= MAX_THREADS {
             return Err(Trap::OutOfMemory);
         }
         let tid = self.threads.len() as u32;
@@ -634,7 +611,7 @@ impl<'p> Machine<'p> {
     /// next [`Machine::run_round`] can execute (every live thread gets
     /// at most one quantum, and at most every instruction is eligible).
     pub fn eligible_round_bound(&self) -> u64 {
-        self.threads.len() as u64 * u64::from(self.cfg.quantum)
+        self.threads.len() as u64 * u64::from(QUANTUM)
     }
 
     /// Install (or clear) the fault plan for subsequent execution.
@@ -688,30 +665,13 @@ impl<'p> Machine<'p> {
             input_len,
             phi_scratch: _,
         } = self;
-        let MachineConfig {
-            mem_size,
-            max_threads,
-            threads: sim_threads,
-            quantum,
-            step_limit: _,
-            fault,
-            recovery,
-            engine,
-        } = cfg;
+        let MachineConfig { threads: sim_threads, step_limit: _, fault, engine } = cfg;
         let spent = |plan: Option<FaultPlan>| plan.is_none_or(|p| p.index <= *eligible);
         std::ptr::eq(*prog, twin.prog)
             && *steps == twin.steps
             && *eligible == twin.eligible
             && (*fault == twin.cfg.fault || spent(*fault) && spent(twin.cfg.fault))
-            && (*mem_size, *max_threads, *sim_threads, *quantum, *recovery, *engine)
-                == (
-                    twin.cfg.mem_size,
-                    twin.cfg.max_threads,
-                    twin.cfg.threads,
-                    twin.cfg.quantum,
-                    twin.cfg.recovery,
-                    twin.cfg.engine,
-                )
+            && (*sim_threads, *engine) == (twin.cfg.threads, twin.cfg.engine)
             && (*heartbeats, *input_len) == (twin.heartbeats, twin.input_len)
             && *output == twin.output
             && *heartbeat_cycles == twin.heartbeat_cycles
@@ -768,7 +728,7 @@ impl<'p> Machine<'p> {
 
     /// Reference engine: one pre-decoded instruction at a time.
     fn step_quantum_ref(&mut self, t: usize) -> Result<(), Trap> {
-        for _ in 0..self.cfg.quantum {
+        for _ in 0..QUANTUM {
             if self.threads[t].state != TState::Ready {
                 break;
             }
@@ -784,7 +744,7 @@ impl<'p> Machine<'p> {
     /// the reference engine's.
     fn step_quantum_trace(&mut self, t: usize) -> Result<(), Trap> {
         let prog = self.prog;
-        let mut budget = self.cfg.quantum as usize;
+        let mut budget = QUANTUM as usize;
         while budget > 0 {
             if self.threads[t].state != TState::Ready {
                 break;
@@ -959,15 +919,7 @@ impl<'p> Machine<'p> {
                     // §VII-B: hardware majority-votes the replicated
                     // address (pointers are always 4-way replicated).
                     let am = VMeta::ptr4();
-                    let voted = match majority_extended(&va.v(&am), am.width, am.lanes as usize) {
-                        MajorityOutcome::Recovered { value, corrected } => {
-                            if corrected {
-                                *corrections += 1;
-                            }
-                            value
-                        }
-                        MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                    };
+                    let voted = vote(&va.v(&am), &am, corrections)?;
                     let done = core.retire_mem_precosted(pc.cost, pc.avx, false, &[ra], voted, l3);
                     let loaded = mem.load(voted, m.ebytes)? & m.fmask;
                     put!(*dst, RtVal::V(Ymm::splat(m.width, m.lanes as usize, loaded)), done);
@@ -976,24 +928,8 @@ impl<'p> Machine<'p> {
                     let (vv, rv) = read_op(fr, val);
                     let (va, ra) = read_op(fr, addrs);
                     let am = VMeta::ptr4();
-                    let addr = match majority_extended(&va.v(&am), am.width, am.lanes as usize) {
-                        MajorityOutcome::Recovered { value, corrected } => {
-                            if corrected {
-                                *corrections += 1;
-                            }
-                            value
-                        }
-                        MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                    };
-                    let value = match majority_extended(&vv.v(m), m.width, m.lanes as usize) {
-                        MajorityOutcome::Recovered { value, corrected } => {
-                            if corrected {
-                                *corrections += 1;
-                            }
-                            value
-                        }
-                        MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                    };
+                    let addr = vote(&va.v(&am), &am, corrections)?;
+                    let value = vote(&vv.v(m), m, corrections)?;
                     core.retire_mem_precosted(pc.cost, pc.avx, true, &[rv, ra], addr, l3);
                     mem.store(addr, m.ebytes, value)?;
                     fr.ip += 1;
@@ -1091,19 +1027,7 @@ impl<'p> Machine<'p> {
                     let (vmask, rm) = read_op(fr, mask);
                     let done = core.retire_precosted(pc.cost, pc.avx, &[rm]);
                     let code = if *full {
-                        // Whole-register flags: every bit of the YMM is a
-                        // live mask bit, so two 256-bit folds suffice.
-                        let y = vmask.v(m);
-                        let l = y.limbs_ref();
-                        let or = l[0] | l[1] | l[2] | l[3];
-                        let and = l[0] & l[1] & l[2] & l[3];
-                        if or == 0 {
-                            0
-                        } else if and == u64::MAX {
-                            1
-                        } else {
-                            2
-                        }
+                        ptest_full(vmask.v(m).limbs_ref())
                     } else {
                         vmask.v(m).ptest(m.width, m.lanes as usize).code()
                     };
@@ -1136,15 +1060,7 @@ impl<'p> Machine<'p> {
                     put!(*d_xor, RtVal::V(Ymm::from_limbs(x)), r2);
                     *steps += 1;
                     let r3 = core.retire_precosted(pc_ptest.cost, pc_ptest.avx, &[r2]);
-                    let or = x[0] | x[1] | x[2] | x[3];
-                    let and = x[0] & x[1] & x[2] & x[3];
-                    let code: usize = if or == 0 {
-                        0
-                    } else if and == u64::MAX {
-                        1
-                    } else {
-                        2
-                    };
+                    let code = ptest_full(&x) as usize;
                     put!(*d_code, RtVal::S(code as u64), r3);
                     *steps += 1;
                     core.retire_branch(site << 1, code == 0, &[r3]);
@@ -1166,15 +1082,7 @@ impl<'p> Machine<'p> {
                     put!(*d_mask, RtVal::V(Ymm::from_limbs(mask)), r1);
                     *steps += 1;
                     let r2 = core.retire_precosted(pc_ptest.cost, pc_ptest.avx, &[r1]);
-                    let or = mask[0] | mask[1] | mask[2] | mask[3];
-                    let and = mask[0] & mask[1] & mask[2] & mask[3];
-                    let code: usize = if or == 0 {
-                        0
-                    } else if and == u64::MAX {
-                        1
-                    } else {
-                        2
-                    };
+                    let code = ptest_full(&mask) as usize;
                     put!(*d_code, RtVal::S(code as u64), r2);
                     *steps += 1;
                     core.retire_branch(site << 1, code == 0, &[r2]);
@@ -1641,15 +1549,7 @@ impl<'p> Machine<'p> {
                 // §VII-B: hardware majority-votes the replicated address
                 // (pointers are always 4-way replicated).
                 let am = VMeta::ptr4();
-                let voted = match majority_extended(&va.v(&am), am.width, am.lanes as usize) {
-                    MajorityOutcome::Recovered { value, corrected } => {
-                        if corrected {
-                            self.corrections += 1;
-                        }
-                        value
-                    }
-                    MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                };
+                let voted = vote(&va.v(&am), &am, &mut self.corrections)?;
                 let done = core.retire_mem(inst.class, &[ra], voted, &mut self.l3);
                 let loaded = self.mem.load(voted, m.ebytes)? & m.fmask;
                 Some((*dst, RtVal::V(Ymm::splat(m.width, m.lanes as usize, loaded)), done, m.bound))
@@ -1658,24 +1558,8 @@ impl<'p> Machine<'p> {
                 let (vv, rv) = read_op(fr, val);
                 let (va, ra) = read_op(fr, addrs);
                 let am = VMeta::ptr4();
-                let addr = match majority_extended(&va.v(&am), am.width, am.lanes as usize) {
-                    MajorityOutcome::Recovered { value, corrected } => {
-                        if corrected {
-                            self.corrections += 1;
-                        }
-                        value
-                    }
-                    MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                };
-                let value = match majority_extended(&vv.v(m), m.width, m.lanes as usize) {
-                    MajorityOutcome::Recovered { value, corrected } => {
-                        if corrected {
-                            self.corrections += 1;
-                        }
-                        value
-                    }
-                    MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                };
+                let addr = vote(&va.v(&am), &am, &mut self.corrections)?;
+                let value = vote(&vv.v(m), m, &mut self.corrections)?;
                 core.retire_mem(inst.class, &[rv, ra], addr, &mut self.l3);
                 self.mem.store(addr, m.ebytes, value)?;
                 None
@@ -2005,26 +1889,7 @@ impl<'p> Machine<'p> {
             }
             Builtin::Recover => {
                 let m = metas.first().copied().unwrap_or(VMeta::ptr4());
-                let y = vals[0].v(&m);
-                let lanes = m.lanes as usize;
-                let fixed = match self.cfg.recovery {
-                    RecoveryPolicy::Simple => {
-                        let value = majority_simple(&y, m.width, lanes);
-                        if !y.lanes_agree(m.width, lanes) {
-                            self.corrections += 1;
-                        }
-                        value
-                    }
-                    RecoveryPolicy::Extended => match majority_extended(&y, m.width, lanes) {
-                        MajorityOutcome::Recovered { value, corrected } => {
-                            if corrected {
-                                self.corrections += 1;
-                            }
-                            value
-                        }
-                        MajorityOutcome::Tie => return Err(Trap::Unrecoverable),
-                    },
-                };
+                let fixed = vote(&vals[0].v(&m), &m, &mut self.corrections)?;
                 // Slow path cost (§III-C): compare low lanes, broadcast.
                 let mut ready = deps;
                 for _ in 0..2 {
@@ -2032,7 +1897,7 @@ impl<'p> Machine<'p> {
                 }
                 ready = core.retire(InstClass::ScalarAlu, &[ready]);
                 ready = core.retire(InstClass::Broadcast, &[ready]);
-                (RtVal::V(Ymm::splat(m.width, lanes, fixed)), ready)
+                (RtVal::V(Ymm::splat(m.width, m.lanes as usize, fixed)), ready)
             }
             Builtin::Heartbeat => {
                 self.heartbeats += 1;
@@ -2062,6 +1927,35 @@ fn read_op(fr: &Frame, op: &LOp) -> (RtVal, u64) {
         LOp::Slot(s) => (fr.slots[*s as usize], fr.ready[*s as usize]),
         LOp::CS(v) => (RtVal::S(*v), 0),
         LOp::CV(y) => (RtVal::V(*y), 0),
+    }
+}
+
+/// §III-C extended majority vote over `y`'s lanes, shared by gathers,
+/// scatters and the `recover` builtin in both engines: the agreeing
+/// value, counting one correction when a lane disagreed. A 2+2 split
+/// has no majority and traps.
+#[inline]
+fn vote(y: &Ymm, m: &VMeta, corrections: &mut u64) -> Result<u64, Trap> {
+    match majority_extended(y, m.width, m.lanes as usize) {
+        MajorityOutcome::Recovered { value, corrected } => {
+            *corrections += u64::from(corrected);
+            Ok(value)
+        }
+        MajorityOutcome::Tie => Err(Trap::Unrecoverable),
+    }
+}
+
+/// `ptest` flags code of a whole-register mask, where every bit of the
+/// YMM is a live mask bit: 0 when all bits are clear, 1 when all are
+/// set, 2 otherwise. Two 256-bit folds suffice.
+#[inline]
+fn ptest_full(l: &[u64; 4]) -> u64 {
+    if l[0] | l[1] | l[2] | l[3] == 0 {
+        0
+    } else if l[0] & l[1] & l[2] & l[3] == u64::MAX {
+        1
+    } else {
+        2
     }
 }
 

@@ -47,8 +47,8 @@ pub const INPUT_BASE: u64 = 0x0100_0000;
 pub const HEAP_BASE: u64 = 0x0400_0000;
 /// Per-thread stack size.
 pub const STACK_SIZE: u64 = 2 * 1024 * 1024;
-/// Default total memory size.
-pub const DEFAULT_MEM_SIZE: u64 = 0x1000_0000; // 256 MB
+/// Total process memory size of every machine (256 MiB).
+pub(crate) const DEFAULT_MEM_SIZE: u64 = 0x1000_0000;
 /// Lowest mapped address (end of the null page).
 const LOW_BASE: u64 = 0x1000;
 /// Growth granule of a stack chunk's backing.

@@ -2,9 +2,9 @@
 //! requests take a fault), served twice on the same artifact:
 //!
 //! 1. **restart-only** — every Crashed-class outcome stalls the shard
-//!    for `restart_cycles` + suffix replay while its queue waits;
+//!    for `elzar_serve::RESTART_CYCLES` + suffix replay while its queue waits;
 //! 2. **warm-replica** — a standby mirrors the committed log in the
-//!    background and is promoted in `failover_cycles` on each crash;
+//!    background and is promoted in `elzar_serve::FAILOVER_CYCLES` on each crash;
 //!    the restart+replay detour still runs, but in background time,
 //!    rebuilding the new standby.
 //!
