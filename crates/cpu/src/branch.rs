@@ -26,6 +26,15 @@ impl BranchPredictor {
         }
     }
 
+    /// Untrain in place: afterwards the predictor behaves exactly like
+    /// [`BranchPredictor::new`] of the same size.
+    pub fn reset(&mut self) {
+        self.table.fill(1);
+        self.history = 0;
+        self.predictions = 0;
+        self.misses = 0;
+    }
+
     /// Default size (16k entries), roughly a desktop-class predictor.
     pub fn haswell() -> BranchPredictor {
         BranchPredictor::new(14)
@@ -67,20 +76,16 @@ impl BranchPredictor {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss ratio in `[0, 1]`.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.predictions as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elzar_rng::DetRng;
+
+    fn miss_ratio(p: &BranchPredictor) -> f64 {
+        p.misses as f64 / p.predictions as f64
+    }
 
     #[test]
     fn learns_always_taken() {
@@ -89,7 +94,7 @@ mod tests {
             p.predict_and_update(42, true);
         }
         // After warmup the loop branch is essentially always right.
-        assert!(p.miss_ratio() < 0.02, "ratio {}", p.miss_ratio());
+        assert!(miss_ratio(&p) < 0.02, "ratio {}", miss_ratio(&p));
     }
 
     #[test]
@@ -134,6 +139,44 @@ mod tests {
             p.predict_and_update(200, false);
             let _ = i;
         }
-        assert!(p.miss_ratio() < 0.05, "ratio {}", p.miss_ratio());
+        assert!(miss_ratio(&p) < 0.05, "ratio {}", miss_ratio(&p));
+    }
+
+    /// A seeded stream of `(site, taken)` over a few sites, each biased
+    /// its own way, so the predictor trains and still mispredicts.
+    fn branch_stream(seed: u64, len: usize) -> Vec<(u64, bool)> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let bias: Vec<u64> = (0..16).map(|_| rng.below(8)).collect();
+        (0..len)
+            .map(|_| {
+                let site = rng.below(bias.len() as u64);
+                (site * 0x51, rng.below(8) < bias[site as usize])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_behaves_like_new() {
+        for seed in 0..4 {
+            let mut p = BranchPredictor::new(10);
+            for (site, taken) in branch_stream(seed, 5_000) {
+                p.predict_and_update(site, taken);
+            }
+            for epoch in 1..3 {
+                p.reset();
+                let mut fresh = BranchPredictor::new(10);
+                assert_eq!(p, fresh);
+                for (i, (site, taken)) in branch_stream(seed * 8 + epoch, 5_000).into_iter().enumerate() {
+                    assert_eq!(
+                        p.predict_and_update(site, taken),
+                        fresh.predict_and_update(site, taken),
+                        "{i}"
+                    );
+                }
+                assert!(fresh.misses() > 0 && fresh.misses() < fresh.predictions());
+                assert_eq!((p.predictions(), p.misses()), (fresh.predictions(), fresh.misses()));
+                assert_eq!(p, fresh);
+            }
+        }
     }
 }

@@ -51,19 +51,24 @@ impl Geometry {
 /// Look `tag` up in one set at time `tick`; a miss replaces the least
 /// recently used way. Returns true on hit. The one LRU scan shared by
 /// every cache level.
+///
+/// A way last used at or before `floor` is empty: it never hits and
+/// has tick 0 for LRU, so after a reset (see [`Cache::reset`]) fills
+/// and evictions follow exactly the order of a never-used cache.
 #[inline]
-fn access_set(set: &mut [Way], tag: u64, tick: u64) -> bool {
+fn access_set(set: &mut [Way], tag: u64, tick: u64, floor: u64) -> bool {
     let mut lru = 0;
     let mut lru_used = u64::MAX;
     for (i, e) in set.iter_mut().enumerate() {
-        if e.0 == tag {
+        let used = e.1.saturating_sub(floor);
+        if e.0 == tag && used > 0 {
             e.1 = tick;
             return true;
         }
         // Empty ways have tick 0 and lose every LRU comparison,
         // so they are filled before anything is evicted.
-        if e.1 < lru_used {
-            lru_used = e.1;
+        if used < lru_used {
+            lru_used = used;
             lru = i;
         }
     }
@@ -96,15 +101,6 @@ impl Stats {
         }
         hit
     }
-
-    fn miss_ratio(&self) -> f64 {
-        let accesses = self.hits + self.misses;
-        if accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / accesses as f64
-        }
-    }
 }
 
 /// One set-associative cache level.
@@ -112,10 +108,17 @@ impl Stats {
 /// Ways are stored in one flat `(tag, last_used_tick)` array — a single
 /// allocation with the whole set in adjacent memory — instead of one
 /// heap vector per set.
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// [`Cache::reset`] empties the cache without touching the ways: it
+/// records the current tick as a floor, and every way last used at or
+/// below it reads as empty. Equality compares what the cache holds
+/// under that reading, so a reset cache equals a new one.
+#[derive(Clone, Debug)]
 pub struct Cache {
     geo: Geometry,
     stats: Stats,
+    /// Tick of the last reset (0 for a new cache).
+    floor: u64,
     ways_flat: Vec<Way>, // sets × ways
 }
 
@@ -127,7 +130,15 @@ impl Cache {
     /// Panics if the geometry is not a power-of-two or is inconsistent.
     pub fn new(size_bytes: usize, ways: usize, line_bytes: usize) -> Cache {
         let geo = Geometry::new(size_bytes, ways, line_bytes);
-        Cache { ways_flat: vec![(EMPTY_TAG, 0); geo.sets() * ways], geo, stats: Stats::default() }
+        Cache { ways_flat: vec![(EMPTY_TAG, 0); geo.sets() * ways], geo, stats: Stats::default(), floor: 0 }
+    }
+
+    /// Empty the cache and zero its statistics, in O(1): afterwards it
+    /// behaves exactly like [`Cache::new`] with the same geometry.
+    pub fn reset(&mut self) {
+        self.floor = self.stats.tick;
+        self.stats.hits = 0;
+        self.stats.misses = 0;
     }
 
     /// Access `addr`; returns true on hit. Misses allocate (LRU evict).
@@ -136,13 +147,8 @@ impl Cache {
         let tick = self.stats.tick();
         let (set, tag) = self.geo.locate(addr);
         let base = set * self.geo.ways;
-        let hit = access_set(&mut self.ways_flat[base..base + self.geo.ways], tag, tick);
+        let hit = access_set(&mut self.ways_flat[base..base + self.geo.ways], tag, tick, self.floor);
         self.stats.record(hit)
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.stats.hits
     }
 
     /// Misses so far.
@@ -150,11 +156,31 @@ impl Cache {
         self.stats.misses
     }
 
-    /// Miss ratio in `[0, 1]` (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        self.stats.miss_ratio()
+    /// A way as a never-reset cache would hold it: ticks counted from
+    /// the floor, and a way at or below it empty.
+    fn way_since_reset(&self, (tag, used): Way) -> Way {
+        match used.saturating_sub(self.floor) {
+            0 => (EMPTY_TAG, 0),
+            used => (tag, used),
+        }
     }
 }
+
+impl PartialEq for Cache {
+    fn eq(&self, o: &Cache) -> bool {
+        let since_reset = |c: &Cache| (c.stats.tick - c.floor, c.stats.hits, c.stats.misses);
+        self.geo == o.geo
+            && since_reset(self) == since_reset(o)
+            && (self.floor == o.floor && self.ways_flat == o.ways_flat
+                || self
+                    .ways_flat
+                    .iter()
+                    .map(|&w| self.way_since_reset(w))
+                    .eq(o.ways_flat.iter().map(|&w| o.way_since_reset(w))))
+    }
+}
+
+impl Eq for Cache {}
 
 /// Latency parameters of the hierarchy (cycles).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -194,7 +220,7 @@ const CHUNK_SETS: usize = 64;
 /// Equality compares contents. A chunk two clones still share compares
 /// in O(1): `Arc`'s `PartialEq` short-cuts on pointer equality when the
 /// contents are `Eq`.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct SharedL3 {
     geo: Geometry,
     stats: Stats,
@@ -219,13 +245,31 @@ impl SharedL3 {
         // only); an unsafe owned-chunk fast path measured no faster.
         let chunk = Arc::make_mut(&mut self.chunks[set / CHUNK_SETS]);
         let base = set % CHUNK_SETS * self.geo.ways;
-        let hit = access_set(&mut chunk[base..base + self.geo.ways], tag, tick);
+        let hit = access_set(&mut chunk[base..base + self.geo.ways], tag, tick, 0);
         self.stats.record(hit)
     }
+}
 
-    /// Miss ratio observed at L3.
-    pub fn miss_ratio(&self) -> f64 {
-        self.stats.miss_ratio()
+impl Clone for SharedL3 {
+    fn clone(&self) -> SharedL3 {
+        SharedL3 { geo: self.geo, stats: self.stats, chunks: self.chunks.clone() }
+    }
+
+    /// Re-share only the chunks `source` does not already share with
+    /// `self`. Refreshing a snapshot from the machine it was taken from
+    /// then costs the chunks written since, not a refcount update per
+    /// chunk on the clone and again on the drop.
+    fn clone_from(&mut self, source: &SharedL3) {
+        self.geo = source.geo;
+        self.stats = source.stats;
+        self.chunks.truncate(source.chunks.len());
+        for (mine, theirs) in self.chunks.iter_mut().zip(&source.chunks) {
+            if !Arc::ptr_eq(mine, theirs) {
+                *mine = Arc::clone(theirs);
+            }
+        }
+        let have = self.chunks.len();
+        self.chunks.extend_from_slice(&source.chunks[have..]);
     }
 }
 
@@ -262,6 +306,12 @@ impl CoreCaches {
         self.lat.mem
     }
 
+    /// Empty both levels in place (see [`Cache::reset`]).
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+    }
+
     /// L1 misses.
     pub fn l1_misses(&self) -> u64 {
         self.l1.misses()
@@ -280,8 +330,7 @@ mod tests {
         for _ in 0..10 {
             assert!(c.access(0x1000));
         }
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hits(), 10);
+        assert_eq!((c.stats.hits, c.stats.misses), (10, 1));
     }
 
     #[test]
@@ -321,7 +370,8 @@ mod tests {
             }
         }
         assert_eq!(misses0, 64);
-        assert!(c.miss_ratio() > 0.9, "LRU + sequential sweep over 4x capacity must thrash");
+        // LRU + a sequential sweep over 4x the capacity must thrash.
+        assert_eq!(c.stats.hits, 0);
     }
 
     #[test]
@@ -375,8 +425,8 @@ mod tests {
             let mut l3 = SharedL3::haswell();
             let mut flat = Cache::new(32 * 1024 * 1024, 16, 64);
             drive(&mut l3, &mut flat, &conflict_stream(seed, 20_000));
-            assert!(flat.hits() > 0 && flat.misses() > 16 * 12, "stream must hit and evict");
-            assert_eq!(l3.miss_ratio(), flat.miss_ratio());
+            assert!(flat.stats.hits > 0 && flat.stats.misses > 16 * 12, "stream must hit and evict");
+            assert_eq!(l3.stats, flat.stats);
         }
     }
 
@@ -398,6 +448,75 @@ mod tests {
             drive(&mut l3c, &mut flatc, &conflict_stream(300 + seed, 3_000));
             drive(&mut l3b, &mut flatb, &conflict_stream(400 + seed, 3_000));
         }
+    }
+
+    /// A seeded stream over `lines` distinct lines, half of its
+    /// accesses to a hot eighth of them, so a cache of a third of
+    /// `lines` sees hits, cold misses and evictions.
+    fn local_stream(seed: u64, len: usize, lines: u64) -> Vec<u64> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let pool = if rng.below(2) == 0 { lines / 8 } else { lines };
+                rng.below(pool) << 6 | rng.below(64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_behaves_like_new() {
+        for seed in 0..4 {
+            for (size, ways) in [(1024, 2), (32 * 1024, 8), (256 * 1024, 8)] {
+                let lines = 3 * size as u64 / 64;
+                let mut c = Cache::new(size, ways, 64);
+                for a in local_stream(seed, 4 * lines as usize, lines) {
+                    c.access(a);
+                }
+                // Each epoch: reset, then the reset cache and a new one
+                // take the same stream access for access.
+                for epoch in 1..4 {
+                    c.reset();
+                    let mut fresh = Cache::new(size, ways, 64);
+                    assert_eq!(c, fresh, "a reset cache holds nothing");
+                    for (i, a) in
+                        local_stream(seed * 8 + epoch, 4 * lines as usize, lines).into_iter().enumerate()
+                    {
+                        assert_eq!(c.access(a), fresh.access(a), "{size}/{ways} epoch {epoch} access {i}");
+                    }
+                    assert!(fresh.stats.hits > 0 && fresh.stats.misses > lines, "stream must hit and evict");
+                    assert_eq!((c.stats.hits, c.stats.misses), (fresh.stats.hits, fresh.stats.misses));
+                    assert_eq!(c, fresh);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_cache_equality_reads_live_ways_only() {
+        let mut a = Cache::new(1024, 2, 64);
+        let mut b = Cache::new(1024, 2, 64);
+        // Different histories, both reset: equal, stale ways and all.
+        for i in 0..40 {
+            a.access(i * 64);
+            b.access(i * 128 + 64);
+        }
+        a.reset();
+        b.reset();
+        b.reset();
+        assert_eq!(a, b);
+        // One live way on one side only: unequal, until the other
+        // side holds the same line at the same point of its clock.
+        a.access(0x40);
+        assert_ne!(a, b);
+        b.access(0x40);
+        assert_eq!(a, b);
+        // Same lines in the same sets, touched in a different order:
+        // the LRU ticks differ.
+        a.access(0x400);
+        a.access(0x800);
+        b.access(0x800);
+        b.access(0x400);
+        assert_ne!(a, b);
     }
 
     #[test]

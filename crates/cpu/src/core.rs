@@ -110,6 +110,30 @@ impl Core {
         }
     }
 
+    /// Return to the state of [`Core::new`] in place, without
+    /// reallocating the caches or the predictor: a request served on a
+    /// resident machine gets a cold core at the cost of clearing its
+    /// scalars and its predictor table.
+    pub fn reset(&mut self) {
+        let Core {
+            cfg: _,
+            cycles,
+            seq,
+            counters,
+            port_free,
+            fetch_base_cycle,
+            fetch_base_seq,
+            fetch_shift: _,
+            pred,
+            caches,
+        } = self;
+        (*cycles, *seq, *fetch_base_cycle, *fetch_base_seq) = (0, 0, 0, 0);
+        *counters = Counters::default();
+        *port_free = [0; 8];
+        pred.reset();
+        caches.reset();
+    }
+
     #[inline]
     fn fetch_cycle(&self) -> u64 {
         self.fetch_base_cycle + ((self.seq - self.fetch_base_seq) >> self.fetch_shift)
@@ -270,20 +294,17 @@ impl Core {
         c.l1_misses = self.caches.l1_misses();
         c
     }
-
-    /// Instructions / cycles.
-    pub fn ilp(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.counters.instrs as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elzar_rng::DetRng;
+
+    /// Instructions per cycle (Table III's ILP).
+    fn ilp(c: &Core) -> f64 {
+        c.counters().instrs as f64 / c.cycles() as f64
+    }
 
     #[test]
     fn independent_scalar_ops_reach_wide_ilp() {
@@ -291,7 +312,7 @@ mod tests {
         for _ in 0..10_000 {
             c.retire(InstClass::ScalarAlu, &[]);
         }
-        let ilp = c.ilp();
+        let ilp = ilp(&c);
         assert!(ilp > 3.5, "independent ALU stream should sustain ~4 IPC, got {ilp}");
     }
 
@@ -302,7 +323,7 @@ mod tests {
         for _ in 0..10_000 {
             ready = c.retire(InstClass::ScalarAlu, &[ready]);
         }
-        let ilp = c.ilp();
+        let ilp = ilp(&c);
         assert!(ilp < 1.1, "1-latency dependent chain is ~1 IPC, got {ilp}");
     }
 
@@ -312,7 +333,7 @@ mod tests {
         for _ in 0..10_000 {
             c.retire(InstClass::VecAlu, &[]);
         }
-        let ilp = c.ilp();
+        let ilp = ilp(&c);
         assert!(ilp > 2.5 && ilp < 3.3, "AVX ALU is served by 3 ports, got {ilp}");
     }
 
@@ -454,5 +475,59 @@ mod tests {
         let mut c = Core::new();
         c.retire(InstClass::VecIntDiv, &[]);
         assert!(c.counters().instrs >= 12);
+    }
+
+    /// Drive `core` with a seeded mix of ALU, vector, load, store,
+    /// branch and clock-sync operations; returns each completion cycle.
+    fn drive(core: &mut Core, l3: &mut SharedL3, seed: u64, len: usize) -> Vec<u64> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let mut ready = [0u64; 8];
+        (0..len)
+            .map(|_| {
+                let dep = ready[rng.below(8) as usize];
+                let addr = rng.below(12_000) * 64;
+                let done = match rng.below(7) {
+                    0 => core.retire(InstClass::ScalarAlu, &[dep]),
+                    1 => core.retire(InstClass::VecAlu, &[dep]),
+                    2 => core.retire_mem(InstClass::Load, &[dep], addr, l3),
+                    3 => core.retire_mem(InstClass::Store, &[dep], addr, l3),
+                    4 => core.retire_branch(rng.below(32), rng.below(3) == 0, &[dep]),
+                    5 => core.retire_jump(),
+                    _ => {
+                        core.advance_to(core.cycles() + rng.below(4));
+                        core.cycles()
+                    }
+                };
+                ready[rng.below(8) as usize] = done;
+                done
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_behaves_like_new() {
+        for seed in 0..3 {
+            let mut l3 = SharedL3::haswell();
+            let mut core = Core::new();
+            drive(&mut core, &mut l3, seed, 20_000);
+            for epoch in 1..3 {
+                core.reset();
+                assert!(core == Core::new(), "a reset core is a new core");
+                // The fresh core gets a copy of the same L3, so both
+                // see the same shared-cache hits.
+                let mut l3_fresh = l3.clone();
+                let mut fresh = Core::new();
+                let stream = seed * 8 + epoch;
+                let got = drive(&mut core, &mut l3, stream, 20_000);
+                let want = drive(&mut fresh, &mut l3_fresh, stream, 20_000);
+                assert!(got == want, "seed {seed} epoch {epoch}: completion cycles differ");
+                assert_eq!(core.cycles(), fresh.cycles());
+                let k = fresh.counters();
+                assert!(k.l1_misses > 0 && k.branch_misses > 0 && k.mem_refs > k.l1_misses);
+                assert_eq!(core.counters(), k);
+                assert!(core == fresh);
+                assert!(l3 == l3_fresh);
+            }
+        }
     }
 }

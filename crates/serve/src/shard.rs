@@ -637,7 +637,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
     /// copy in virtual time, restart the suffix.
     fn maybe_snapshot(&mut self, cfg: &ServeConfig) {
         if self.suffix.len() >= cfg.snapshot_interval.max(1) as usize {
-            self.snap = self.m.clone();
+            self.snap.clone_from(&self.m);
             self.snap_applied = self.applied;
             self.suffix.clear();
             self.stats.snapshots += 1;

@@ -281,6 +281,15 @@ impl AtomicTable {
         AtomicTable { keys: vec![ATOMIC_EMPTY; 1024], vals: vec![(0, 0); 1024], len: 0 }
     }
 
+    /// Forget every entry in place, keeping the capacity.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.keys.fill(ATOMIC_EMPTY);
+            self.vals.fill((0, 0));
+            self.len = 0;
+        }
+    }
+
     /// Slot of `key`, or of the first empty probe position.
     #[inline]
     fn slot(keys: &[u64], key: u64) -> usize {
@@ -364,8 +373,10 @@ const MALLOC_COST: u64 = 100;
 /// contexts, timing model, caches, branch predictor, counters. Because
 /// execution is deterministic, resuming a clone behaves exactly like
 /// the original would have; the fault-injection campaign exploits this
-/// to share the pre-injection prefix across runs.
-#[derive(Clone)]
+/// to share the pre-injection prefix across runs. Memory and the L3 are
+/// copy-on-write, so a clone costs what the original writes afterwards;
+/// [`Clone::clone_from`] refreshes an older clone of the same machine,
+/// re-sharing only the pages and L3 chunks written since.
 pub struct Machine<'p> {
     prog: &'p Program,
     cfg: MachineConfig,
@@ -382,6 +393,59 @@ pub struct Machine<'p> {
     heartbeat_cycles: Vec<u64>,
     input_len: u64,
     phi_scratch: Vec<(u32, RtVal, u64)>,
+}
+
+impl Clone for Machine<'_> {
+    fn clone(&self) -> Self {
+        Machine {
+            prog: self.prog,
+            cfg: self.cfg,
+            mem: self.mem.clone(),
+            threads: self.threads.clone(),
+            l3: self.l3.clone(),
+            locks: self.locks.clone(),
+            atomics: self.atomics.clone(),
+            output: self.output.clone(),
+            corrections: self.corrections,
+            eligible: self.eligible,
+            steps: self.steps,
+            heartbeats: self.heartbeats,
+            heartbeat_cycles: self.heartbeat_cycles.clone(),
+            input_len: self.input_len,
+            phi_scratch: self.phi_scratch.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Machine {
+            prog,
+            cfg,
+            mem,
+            threads,
+            l3,
+            locks,
+            atomics,
+            output,
+            corrections,
+            eligible,
+            steps,
+            heartbeats,
+            heartbeat_cycles,
+            input_len,
+            phi_scratch,
+        } = self;
+        (*prog, *cfg) = (source.prog, source.cfg);
+        mem.clone_from(&source.mem);
+        threads.clone_from(&source.threads);
+        l3.clone_from(&source.l3);
+        locks.clone_from(&source.locks);
+        atomics.clone_from(&source.atomics);
+        output.clone_from(&source.output);
+        (*corrections, *eligible, *steps, *heartbeats, *input_len) =
+            (source.corrections, source.eligible, source.steps, source.heartbeats, source.input_len);
+        heartbeat_cycles.clone_from(&source.heartbeat_cycles);
+        phi_scratch.clone_from(&source.phi_scratch);
+    }
 }
 
 /// Run `entry` (a function taking no meaningful arguments) of `prog` over
@@ -417,6 +481,26 @@ impl<'p> Machine<'p> {
     }
 
     fn spawn(&mut self, func: u32, arg: u64, start_cycle: u64) -> Result<u32, Trap> {
+        let th = ThreadCtx {
+            frames: Vec::new(),
+            core: Core::new(),
+            sp: 0,
+            stack_limit: 0,
+            state: TState::Ready,
+            result: 0,
+        };
+        self.spawn_on(th, func, arg, start_cycle)
+    }
+
+    /// Start `func(arg)` at `start_cycle` as the next thread, on `th`'s
+    /// core (which must be new or reset) and in its frame vector.
+    fn spawn_on(
+        &mut self,
+        mut th: ThreadCtx<'p>,
+        func: u32,
+        arg: u64,
+        start_cycle: u64,
+    ) -> Result<u32, Trap> {
         if func as usize >= self.prog.funcs.len() {
             return Err(Trap::BadFunction);
         }
@@ -429,28 +513,26 @@ impl<'p> Machine<'p> {
         if lf.n_params >= 1 {
             slots[0] = RtVal::S(arg);
         }
-        let mut core = Core::new();
-        core.advance_to(start_cycle);
-        self.threads.push(ThreadCtx {
-            frames: vec![Frame {
-                func,
-                block: 0,
-                prev_block: 0,
-                ip: 0,
-                ready: vec![start_cycle; lf.n_slots as usize],
-                slots,
-                ret_dst: NO_DST,
-                sp_save: self.mem.stack_top(tid),
-                lf,
-                insts: &lf.blocks[0].insts,
-                term: &lf.blocks[0].term,
-            }],
-            core,
-            sp: self.mem.stack_top(tid),
-            stack_limit: self.mem.stack_limit(tid),
-            state: TState::Ready,
-            result: 0,
+        th.core.advance_to(start_cycle);
+        th.frames.clear();
+        th.frames.push(Frame {
+            func,
+            block: 0,
+            prev_block: 0,
+            ip: 0,
+            ready: vec![start_cycle; lf.n_slots as usize],
+            slots,
+            ret_dst: NO_DST,
+            sp_save: self.mem.stack_top(tid),
+            lf,
+            insts: &lf.blocks[0].insts,
+            term: &lf.blocks[0].term,
         });
+        th.sp = self.mem.stack_top(tid);
+        th.stack_limit = self.mem.stack_limit(tid);
+        th.state = TState::Ready;
+        th.result = 0;
+        self.threads.push(th);
         Ok(tid)
     }
 
@@ -519,12 +601,17 @@ impl<'p> Machine<'p> {
         // machine would, not the previous invocation's frames.
         self.mem.reset_stacks();
         self.input_len = input_len;
-        self.threads.clear();
-        self.locks = LockTable::default();
+        // The previous entry thread's context becomes the new one: its
+        // core is reset in place to a cold core, which is cheaper than
+        // allocating one.
+        self.threads.truncate(1);
+        let mut th = self.threads.pop().expect("a started machine has an entry thread");
+        th.core.reset();
+        self.locks.entries.clear();
         // Stale atomic serialization points carry release cycles from
         // the previous invocation's clock domain; the new run starts at
         // cycle 0, so they must not stall it.
-        self.atomics = AtomicTable::new();
+        self.atomics.clear();
         self.output.clear();
         self.corrections = 0;
         self.eligible = 0;
@@ -532,7 +619,7 @@ impl<'p> Machine<'p> {
         self.heartbeats = 0;
         self.heartbeat_cycles.clear();
         self.cfg.fault = None;
-        self.spawn(entry_idx, 0, 0).expect("spawning the entry thread cannot fail");
+        self.spawn_on(th, entry_idx, 0, 0).expect("spawning the entry thread cannot fail");
     }
 
     /// The machine's memory (e.g. to digest resident state between
@@ -2905,5 +2992,138 @@ mod tests {
         m.phi_scratch.push((0, RtVal::S(1), 2));
         assert!(m.state_matches(&base), "excluded fields must not take part");
         assert!(base.state_matches(&m));
+
+        // A reset core reads as a new one: the ways it held before the
+        // reset are empty. A way used since the reset is live and takes
+        // part: a cold miss to a different line on each side (equal
+        // timing and counters) reads unequal, the same line equal.
+        let mut reset = base.clone();
+        reset.threads[0].core.reset();
+        let mut fresh = base.clone();
+        fresh.threads[0].core = Core::new();
+        assert!(reset.state_matches(&fresh), "a reset core must match a new core");
+        let (mut a, mut b) = (reset.clone(), fresh.clone());
+        a.threads[0].core.retire_mem(InstClass::Load, &[], cold, &mut a.l3);
+        b.threads[0].core.retire_mem(InstClass::Load, &[], cold, &mut b.l3);
+        assert!(a.state_matches(&b), "the same live way on both sides");
+        let mut c = reset.clone();
+        c.threads[0].core.retire_mem(InstClass::Load, &[], cold + 64, &mut c.l3);
+        assert_eq!(a.threads[0].core.counters(), c.threads[0].core.counters());
+        assert_eq!(a.threads[0].core.cycles(), c.threads[0].core.cycles());
+        assert!(!a.state_matches(&c) && !c.state_matches(&a), "live cache way");
+
+        // Writing a byte back to its value copies the page the clone
+        // shared with `base`: the copy holds the same bytes and matches.
+        let mut m = base.clone();
+        flip_byte(&mut m, g + 8);
+        flip_byte(&mut m, g + 8);
+        flip_byte(&mut m, heap + 8);
+        flip_byte(&mut m, heap + 8);
+        assert!(m.state_matches(&base) && base.state_matches(&m), "copied but equal pages");
+    }
+
+    /// Clone `m` into `into` with [`Clone::clone_from`] and check the
+    /// result matches a plain clone.
+    fn refresh<'p>(into: &mut Machine<'p>, m: &Machine<'p>) {
+        into.clone_from(m);
+        assert!(into.state_matches(&m.clone()) && m.state_matches(into), "clone_from gave another state");
+    }
+
+    /// Run `a` and `b` to completion, asserting they stay in step round
+    /// by round and end with the same result.
+    fn assert_same_continuation(a: &mut Machine, b: &mut Machine) {
+        loop {
+            let (oa, ob) = (a.run_round(), b.run_round());
+            assert_eq!(oa, ob);
+            assert!(a.state_matches(b), "diverged at step {}", a.steps);
+            if let Some(o) = oa {
+                let (ra, rb) = (a.result(o), b.result(o));
+                assert_eq!((ra.output, ra.cycles, ra.counters), (rb.output, rb.cycles, rb.counters));
+                assert_eq!(
+                    (ra.steps, ra.eligible, ra.thread_cycles),
+                    (rb.steps, rb.eligible, rb.thread_cycles)
+                );
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_matches_clone_and_continues_identically() {
+        let (module, _) = state_probe_module();
+        let prog = Program::lower(&module);
+        let cfg = MachineConfig { threads: 2, ..MachineConfig::default() };
+        let mut m = Machine::start(&prog, "main", &[], cfg);
+        // The snapshot starts as an unrelated machine, then is refreshed
+        // from `m` every few rounds; each refresh must continue exactly
+        // like a plain clone taken at the same point.
+        let mut snap = Machine::start(&prog, "main", &[], MachineConfig::default());
+        snap.run_round();
+        for round in 0..12 {
+            if round % 3 == 0 {
+                refresh(&mut snap, &m);
+                let mut plain = m.clone();
+                let mut refreshed = snap.clone();
+                refreshed.clone_from(&snap);
+                assert_same_continuation(&mut refreshed, &mut plain);
+            }
+            assert_eq!(m.run_round(), None, "the probe must still be running");
+        }
+        // A resident machine serving requests: snapshot by clone_from
+        // after each one, then restore the snapshot and compare.
+        for k in 0..3 {
+            m.reenter("main", &[]);
+            assert!(matches!(m.run_to_completion(), RunOutcome::Exited(0)));
+            refresh(&mut snap, &m);
+            let mut restored = snap.clone();
+            restored.reenter("main", &[k]);
+            m.reenter("main", &[k]);
+            assert_same_continuation(&mut restored, &mut m.clone());
+        }
+    }
+
+    /// The re-entry reset from new parts — new lock and atomics tables
+    /// and a new core: the reference the in-place reset must match.
+    fn reenter_rebuilt(m: &mut Machine, entry: &str, input: &[u8]) {
+        m.mem.set_input(input);
+        m.mem.reset_stacks();
+        m.input_len = input.len() as u64;
+        m.threads.clear();
+        m.locks = LockTable::default();
+        m.atomics = AtomicTable::new();
+        m.output.clear();
+        (m.corrections, m.eligible, m.steps, m.heartbeats) = (0, 0, 0, 0);
+        m.heartbeat_cycles.clear();
+        m.cfg.fault = None;
+        let entry = m.prog.func_by_name(entry).unwrap();
+        m.spawn(entry, 0, 0).unwrap();
+    }
+
+    #[test]
+    fn reenter_in_place_matches_a_rebuilt_machine() {
+        // Two threads, a mutex, an atomic, heap and stack traffic: every
+        // table and the core the reset reuses is dirty before each reentry.
+        let (module, _) = state_probe_module();
+        let prog = Program::lower(&module);
+        let cfg = MachineConfig { threads: 2, ..MachineConfig::default() };
+        let mut m = Machine::start(&prog, "main", &[], cfg);
+        assert!(matches!(m.run_to_completion(), RunOutcome::Exited(0)));
+        for k in 0..4u8 {
+            let mut rebuilt = m.clone();
+            reenter_rebuilt(&mut rebuilt, "main", &[k; 5]);
+            m.reenter("main", &[k; 5]);
+            assert!(m.state_matches(&rebuilt), "reentry {k}");
+            let mut done = m.clone();
+            assert_same_continuation(&mut done, &mut rebuilt);
+            // Stop this invocation mid-run half the time, so the next
+            // reentry also resets a thread that has frames left.
+            if k % 2 == 0 {
+                m = done;
+            } else {
+                for _ in 0..3 {
+                    m.run_round();
+                }
+            }
+        }
     }
 }

@@ -15,13 +15,16 @@
 //! ```
 //!
 //! Although the *semantics* are a single zero-initialized flat array,
-//! the *representation* is segmented: each region is backed by its own
-//! vector that grows on first write. Untouched bytes read as zero,
-//! exactly as the flat array did. This keeps a `Memory` clone
-//! proportional to the bytes a program actually used — the key enabler
-//! for the fault-injection campaign's checkpoint sharing, which
-//! snapshots the whole machine at every injection point instead of
-//! re-executing the prefix.
+//! the *representation* is segmented: each region below the stacks
+//! (low, globals, input, heap) is a `Segment` of copy-on-write pages
+//! as long as its highest written byte. Untouched bytes read as zero,
+//! exactly as the flat array did. A clone shares every page and the
+//! first write to a shared page copies that page only, so a clone costs
+//! a pointer per page and then the pages each copy writes — the key
+//! enabler for the serving runtime's periodic snapshots of a resident
+//! KV table and for the fault-injection campaign's checkpoint sharing.
+//! [`Clone::clone_from`] refreshes an older clone of the same memory by
+//! re-sharing only the pages that differ by pointer.
 //!
 //! Each thread's `STACK_SIZE` stack chunk grows *down*, as the stack
 //! does: it is backed only from the page holding its lowest written
@@ -34,10 +37,11 @@
 //! [`Memory::resident_bytes`] — the *virtual* snapshot-cost basis the
 //! serving runtime charges — is independent of this representation: it
 //! counts the segment lengths plus a full `STACK_SIZE` for every stack
-//! chunk written since the last reset, as when chunks were materialized
-//! whole.
+//! chunk written since the last reset, as when segments were plain
+//! vectors and stack chunks were materialized whole.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Base address of the global data segment.
 pub const GLOBAL_BASE: u64 = 0x0001_0000;
@@ -51,8 +55,11 @@ pub const STACK_SIZE: u64 = 2 * 1024 * 1024;
 pub(crate) const DEFAULT_MEM_SIZE: u64 = 0x1000_0000;
 /// Lowest mapped address (end of the null page).
 const LOW_BASE: u64 = 0x1000;
-/// Growth granule of a stack chunk's backing.
-const STACK_PAGE: usize = 4096;
+/// Bytes per copy-on-write page of a [`Segment`], and the growth
+/// granule of a stack chunk's backing.
+const PAGE: usize = 4096;
+
+type Page = [u8; PAGE];
 
 /// Faults detected by the machine ("OS-detected" outcomes in Table I).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -102,24 +109,149 @@ impl std::error::Error for Trap {}
 ///
 /// Equality compares the representation: equal memories read the same
 /// everywhere, but two memories that read the same may compare unequal
-/// (a segment or stack grown further, zeros included).
-#[derive(Clone, PartialEq, Eq)]
+/// (a segment or stack grown further, zeros included). Whether a page
+/// is shared does not take part: a copied page equals its original.
+#[derive(PartialEq, Eq)]
 pub struct Memory {
     stacks_base: u64,
     size: u64,
     heap_next: u64,
     heap_limit: u64,
     /// `[LOW_BASE, GLOBAL_BASE)` — rarely touched, grows on write.
-    low: Vec<u8>,
+    low: Segment,
     /// `[GLOBAL_BASE, INPUT_BASE)` — grows on write past the initial
     /// globals image.
-    globals: Vec<u8>,
+    globals: Segment,
     /// `[INPUT_BASE, HEAP_BASE)` — grows on write past the input image.
-    input: Vec<u8>,
+    input: Segment,
     /// `[HEAP_BASE, stacks_base)` — grows on write.
-    heap: Vec<u8>,
+    heap: Segment,
     /// `[stacks_base, size)`, one `STACK_SIZE` chunk per thread slot.
     stacks: Vec<Stack>,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            stacks_base: self.stacks_base,
+            size: self.size,
+            heap_next: self.heap_next,
+            heap_limit: self.heap_limit,
+            low: self.low.clone(),
+            globals: self.globals.clone(),
+            input: self.input.clone(),
+            heap: self.heap.clone(),
+            stacks: self.stacks.clone(),
+        }
+    }
+
+    /// Make `self` equal to `source`, re-sharing only the pages that are
+    /// not already shared.
+    fn clone_from(&mut self, source: &Memory) {
+        let Memory { stacks_base, size, heap_next, heap_limit, low, globals, input, heap, stacks } = self;
+        (*stacks_base, *size, *heap_next, *heap_limit) =
+            (source.stacks_base, source.size, source.heap_next, source.heap_limit);
+        low.clone_from(&source.low);
+        globals.clone_from(&source.globals);
+        input.clone_from(&source.input);
+        heap.clone_from(&source.heap);
+        stacks.clone_from(&source.stacks);
+    }
+}
+
+/// One segment: a logical length and the copy-on-write pages backing
+/// it. Bytes at or past `len` read as zero, and so do the bytes of the
+/// last page past `len` (writes never reach past `len`).
+#[derive(Default, PartialEq, Eq)]
+struct Segment {
+    /// The segment's length as a plain vector would have it: it grows
+    /// on write, at least doubling, and never shrinks.
+    len: usize,
+    /// `len.div_ceil(PAGE)` pages.
+    pages: Vec<Arc<Page>>,
+}
+
+impl Clone for Segment {
+    fn clone(&self) -> Segment {
+        Segment { len: self.len, pages: self.pages.clone() }
+    }
+
+    /// Re-share only the pages `source` does not already share with
+    /// `self`: refreshing a snapshot from the memory it was taken from
+    /// costs the pages written since, not a refcount update per page.
+    fn clone_from(&mut self, source: &Segment) {
+        self.len = source.len;
+        self.pages.truncate(source.pages.len());
+        for (mine, theirs) in self.pages.iter_mut().zip(&source.pages) {
+            if !Arc::ptr_eq(mine, theirs) {
+                *mine = Arc::clone(theirs);
+            }
+        }
+        let have = self.pages.len();
+        self.pages.extend_from_slice(&source.pages[have..]);
+    }
+}
+
+impl Segment {
+    fn from_bytes(bytes: &[u8]) -> Segment {
+        let mut s = Segment::default();
+        s.extend_to(bytes.len());
+        s.write(0, bytes);
+        s
+    }
+
+    /// Grow the logical length to at least `len` (it never shrinks).
+    /// New pages share one zero page until written.
+    fn extend_to(&mut self, len: usize) {
+        if len > self.len {
+            self.len = len;
+            let pages = len.div_ceil(PAGE);
+            if pages > self.pages.len() {
+                self.pages.resize(pages, Arc::new([0; PAGE]));
+            }
+        }
+    }
+
+    /// The page holding `off` and `off`'s offset in it; an empty view
+    /// past the last page.
+    #[inline]
+    fn page(&self, off: usize) -> (&[u8], usize) {
+        match self.pages.get(off / PAGE) {
+            Some(p) => (&p[..], off % PAGE),
+            None => (&[], 0),
+        }
+    }
+
+    /// The page holding `off`, copied first if shared, and `off`'s
+    /// offset in it. `off` must be below `len`.
+    #[inline]
+    fn page_mut(&mut self, off: usize) -> (&mut [u8], usize) {
+        (&mut Arc::make_mut(&mut self.pages[off / PAGE])[..], off % PAGE)
+    }
+
+    /// Copy `data` to `off..off + data.len()`, within `len`.
+    fn write(&mut self, mut off: usize, mut data: &[u8]) {
+        while !data.is_empty() {
+            let (page, o) = self.page_mut(off);
+            let n = (PAGE - o).min(data.len());
+            page[o..o + n].copy_from_slice(&data[..n]);
+            (off, data) = (off + n, &data[n..]);
+        }
+    }
+
+    /// Zero `off..len`, copying only pages that hold a nonzero byte
+    /// there.
+    fn zero_from(&mut self, mut off: usize) {
+        while off < self.len {
+            let n = (PAGE - off % PAGE).min(self.len - off);
+            let (page, o) = self.page(off);
+            if page[o..o + n].iter().any(|&b| b != 0) {
+                let (page, o) = self.page_mut(off);
+                page[o..o + n].fill(0);
+            }
+            off += n;
+        }
+    }
 }
 
 /// One thread's stack chunk, backed from a page boundary up to its top.
@@ -143,7 +275,7 @@ impl Stack {
     /// pages and at least doubling, so a deepening stack is copied
     /// O(log) times.
     fn grow_down(&mut self, off: usize) {
-        let need = STACK_SIZE as usize - off / STACK_PAGE * STACK_PAGE;
+        let need = STACK_SIZE as usize - off / PAGE * PAGE;
         let len = need.max(2 * self.bytes.len()).min(STACK_SIZE as usize);
         let mut grown = vec![0u8; len];
         grown[len - self.bytes.len()..].copy_from_slice(&self.bytes);
@@ -174,10 +306,10 @@ impl Memory {
         let stacks = u64::from(max_threads) * STACK_SIZE;
         assert!(HEAP_BASE + stacks < size, "memory too small");
         Memory {
-            low: Vec::new(),
-            globals: globals.to_vec(),
-            input: input.to_vec(),
-            heap: Vec::new(),
+            low: Segment::default(),
+            globals: Segment::from_bytes(globals),
+            input: Segment::from_bytes(input),
+            heap: Segment::default(),
             stacks: vec![Stack::default(); max_threads as usize],
             stacks_base: size - stacks,
             size,
@@ -215,11 +347,9 @@ impl Memory {
     /// Panics if `input` does not fit in the input segment.
     pub fn set_input(&mut self, input: &[u8]) {
         assert!(INPUT_BASE + input.len() as u64 <= HEAP_BASE, "input too large");
-        if self.input.len() < input.len() {
-            self.input.resize(input.len(), 0);
-        }
-        self.input[..input.len()].copy_from_slice(input);
-        self.input[input.len()..].fill(0);
+        self.input.extend_to(input.len());
+        self.input.write(0, input);
+        self.input.zero_from(input.len());
     }
 
     /// Replace the input image with a *multi-request* segment: a `u64`
@@ -237,16 +367,14 @@ impl Memory {
     pub fn set_input_parts(&mut self, parts: &[&[u8]]) -> usize {
         let total = 8 + parts.iter().map(|p| p.len()).sum::<usize>();
         assert!(INPUT_BASE + total as u64 <= HEAP_BASE, "batched input too large");
-        if self.input.len() < total {
-            self.input.resize(total, 0);
-        }
-        self.input[..8].copy_from_slice(&(parts.len() as u64).to_le_bytes());
+        self.input.extend_to(total);
+        self.input.write(0, &(parts.len() as u64).to_le_bytes());
         let mut off = 8;
         for p in parts {
-            self.input[off..off + p.len()].copy_from_slice(p);
+            self.input.write(off, p);
             off += p.len();
         }
-        self.input[off..].fill(0);
+        self.input.zero_from(off);
         total
     }
 
@@ -268,7 +396,7 @@ impl Memory {
     /// is usually a few pages).
     pub fn resident_bytes(&self) -> u64 {
         let stacks = self.stacks.iter().filter(|s| s.touched).count() as u64 * STACK_SIZE;
-        (self.low.len() + self.globals.len() + self.input.len() + self.heap.len()) as u64 + stacks
+        (self.low.len + self.globals.len + self.input.len + self.heap.len) as u64 + stacks
     }
 
     /// Bump-allocate `size` heap bytes (32-byte aligned).
@@ -314,10 +442,10 @@ impl Memory {
     }
 
     /// End (exclusive) of the run of bytes containing `addr` that one
-    /// [`Memory::backing`] call describes: the region end, except below
-    /// a stack chunk's backed range, whose run of zeros ends where the
-    /// backing starts.
-    fn region_end(&self, addr: u64) -> u64 {
+    /// [`Memory::backing`] call describes: the end of the segment page
+    /// or the stack chunk, except below a stack chunk's backed range,
+    /// whose run of zeros ends where the backing starts.
+    fn run_end(&self, addr: u64) -> u64 {
         if addr >= self.stacks_base {
             let off = addr - self.stacks_base;
             let chunk_base = self.stacks_base + off / STACK_SIZE * STACK_SIZE;
@@ -327,27 +455,32 @@ impl Memory {
             } else {
                 chunk_base + STACK_SIZE
             }
-        } else if addr >= HEAP_BASE {
-            self.stacks_base
-        } else if addr >= INPUT_BASE {
-            HEAP_BASE
-        } else if addr >= GLOBAL_BASE {
-            INPUT_BASE
         } else {
-            GLOBAL_BASE
+            // Segment bases are page-aligned.
+            let page_end = (addr / PAGE as u64 + 1) * PAGE as u64;
+            let region_end = if addr >= HEAP_BASE {
+                self.stacks_base
+            } else if addr >= INPUT_BASE {
+                HEAP_BASE
+            } else if addr >= GLOBAL_BASE {
+                INPUT_BASE
+            } else {
+                GLOBAL_BASE
+            };
+            page_end.min(region_end)
         }
     }
 
     /// Immutable view of the backing bytes from `addr` on, and `addr`'s
-    /// offset in it (the view may end before [`Memory::region_end`] —
-    /// the rest reads as 0).
+    /// offset in it (the view may end before [`Memory::run_end`] — the
+    /// rest reads as 0).
     #[inline]
     fn backing(&self, addr: u64) -> (&[u8], usize) {
         match self.region_of(addr) {
-            Region::Low => (&self.low, (addr - LOW_BASE) as usize),
-            Region::Globals => (&self.globals, (addr - GLOBAL_BASE) as usize),
-            Region::Input => (&self.input, (addr - INPUT_BASE) as usize),
-            Region::Heap => (&self.heap, (addr - HEAP_BASE) as usize),
+            Region::Low => self.low.page((addr - LOW_BASE) as usize),
+            Region::Globals => self.globals.page((addr - GLOBAL_BASE) as usize),
+            Region::Input => self.input.page((addr - INPUT_BASE) as usize),
+            Region::Heap => self.heap.page((addr - HEAP_BASE) as usize),
             Region::Stack(chunk, off) => {
                 let s = &self.stacks[chunk];
                 match off.checked_sub(s.low()) {
@@ -358,38 +491,34 @@ impl Memory {
         }
     }
 
-    /// Mutable backing for the region containing `addr`, grown so that
-    /// `off + len` is in range. `len` must not cross the region end
-    /// (checked by the caller via [`Memory::region_end`]).
+    /// Mutable backing for the run containing `addr`, grown so that
+    /// `off + len` is in range and unshared. `len` must not cross the
+    /// run end (checked by the caller via [`Memory::run_end`]).
     fn backing_mut(&mut self, addr: u64, len: usize) -> (&mut [u8], usize) {
         #[inline]
-        fn ensure(v: &mut Vec<u8>, need: usize, cap: usize) {
-            if v.len() < need {
+        fn grown(s: &mut Segment, off: usize, len: usize, cap: usize) -> (&mut [u8], usize) {
+            if s.len < off + len {
                 // Amortize growth; never exceed the region size.
-                let target = need.max(v.len() * 2).min(cap);
-                v.resize(target, 0);
+                s.extend_to((off + len).max(s.len * 2).min(cap));
             }
+            s.page_mut(off)
         }
         match self.region_of(addr) {
             Region::Low => {
-                let off = (addr - LOW_BASE) as usize;
-                ensure(&mut self.low, off + len, (GLOBAL_BASE - LOW_BASE) as usize);
-                (&mut self.low, off)
+                grown(&mut self.low, (addr - LOW_BASE) as usize, len, (GLOBAL_BASE - LOW_BASE) as usize)
             }
-            Region::Globals => {
-                let off = (addr - GLOBAL_BASE) as usize;
-                ensure(&mut self.globals, off + len, (INPUT_BASE - GLOBAL_BASE) as usize);
-                (&mut self.globals, off)
-            }
+            Region::Globals => grown(
+                &mut self.globals,
+                (addr - GLOBAL_BASE) as usize,
+                len,
+                (INPUT_BASE - GLOBAL_BASE) as usize,
+            ),
             Region::Input => {
-                let off = (addr - INPUT_BASE) as usize;
-                ensure(&mut self.input, off + len, (HEAP_BASE - INPUT_BASE) as usize);
-                (&mut self.input, off)
+                grown(&mut self.input, (addr - INPUT_BASE) as usize, len, (HEAP_BASE - INPUT_BASE) as usize)
             }
             Region::Heap => {
-                let off = (addr - HEAP_BASE) as usize;
-                ensure(&mut self.heap, off + len, (self.stacks_base - HEAP_BASE) as usize);
-                (&mut self.heap, off)
+                let cap = (self.stacks_base - HEAP_BASE) as usize;
+                grown(&mut self.heap, (addr - HEAP_BASE) as usize, len, cap)
             }
             Region::Stack(chunk, off) => {
                 let s = &mut self.stacks[chunk];
@@ -411,15 +540,15 @@ impl Memory {
     pub fn load(&self, addr: u64, size: u32) -> Result<u64, Trap> {
         self.check(addr, u64::from(size))?;
         let (b, off) = self.backing(addr);
-        // Fast path: fully materialized and inside one region.
-        if off + size as usize <= b.len() && addr + u64::from(size) <= self.region_end(addr) {
+        // Fast path: fully materialized and inside one run.
+        if off + size as usize <= b.len() && addr + u64::from(size) <= self.run_end(addr) {
             let mut v = 0u64;
             for i in 0..size as usize {
                 v |= u64::from(b[off + i]) << (8 * i);
             }
             return Ok(v);
         }
-        // Slow path: unmaterialized tail bytes read as zero; region
+        // Slow path: unmaterialized tail bytes read as zero; run
         // crossings are assembled byte by byte.
         let mut v = 0u64;
         for i in 0..u64::from(size) {
@@ -437,14 +566,14 @@ impl Memory {
     #[inline]
     pub fn store(&mut self, addr: u64, size: u32, val: u64) -> Result<(), Trap> {
         self.check(addr, u64::from(size))?;
-        if addr + u64::from(size) <= self.region_end(addr) {
+        if addr + u64::from(size) <= self.run_end(addr) {
             let (b, off) = self.backing_mut(addr, size as usize);
             for i in 0..size as usize {
                 b[off + i] = (val >> (8 * i)) as u8;
             }
             return Ok(());
         }
-        // Rare region-crossing store.
+        // Rare page- or region-crossing store.
         for i in 0..u64::from(size) {
             let (b, off) = self.backing_mut(addr + i, 1);
             b[off] = (val >> (8 * i)) as u8;
@@ -461,7 +590,7 @@ impl Memory {
         let mut a = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let n = remaining.min(self.region_end(a) - a);
+            let n = remaining.min(self.run_end(a) - a);
             let (b, off) = self.backing(a);
             let have = b.len().saturating_sub(off).min(n as usize);
             // `off` may lie past the backing's end: slice only when bytes exist.
@@ -485,7 +614,7 @@ impl Memory {
         let mut a = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let n = remaining.min(self.region_end(a) - a);
+            let n = remaining.min(self.run_end(a) - a);
             let (b, off) = self.backing_mut(a, n as usize);
             b[off..off + n as usize].fill(byte);
             a += n;
@@ -529,7 +658,7 @@ impl Memory {
         let mut a = dst;
         let mut done = 0usize;
         while done < buf.len() {
-            let n = ((buf.len() - done) as u64).min(self.region_end(a) - a) as usize;
+            let n = ((buf.len() - done) as u64).min(self.run_end(a) - a) as usize;
             let (b, off) = self.backing_mut(a, n);
             b[off..off + n].copy_from_slice(&buf[done..done + n]);
             a += n as u64;
@@ -682,18 +811,18 @@ mod tests {
         // Thread 0's stack is the chunk at the top of memory.
         let t = m.stacks.len() - 1;
         m.store(top - 8, 8, 7).unwrap();
-        assert_eq!((m.stacks[t].bytes.len(), m.stacks[t].touched), (STACK_PAGE, true));
+        assert_eq!((m.stacks[t].bytes.len(), m.stacks[t].touched), (PAGE, true));
         // Loads below the backed range read zero and do not grow it.
-        assert_eq!(m.load(top - 3 * STACK_PAGE as u64, 8).unwrap(), 0);
-        assert_eq!(m.stacks[t].bytes.len(), STACK_PAGE);
+        assert_eq!(m.load(top - 3 * PAGE as u64, 8).unwrap(), 0);
+        assert_eq!(m.stacks[t].bytes.len(), PAGE);
         m.store(top - 10_000, 4, 9).unwrap();
-        assert_eq!(m.stacks[t].bytes.len(), 3 * STACK_PAGE);
+        assert_eq!(m.stacks[t].bytes.len(), 3 * PAGE);
         assert_eq!(m.load(top - 10_000, 4).unwrap(), 9);
         assert_eq!(m.load(top - 8, 8).unwrap(), 7);
         let resident = m.resident_bytes();
         m.reset_stacks();
         assert_eq!(m.resident_bytes(), resident - STACK_SIZE);
-        assert_eq!((m.stacks[t].bytes.len(), m.stacks[t].touched), (3 * STACK_PAGE, false));
+        assert_eq!((m.stacks[t].bytes.len(), m.stacks[t].touched), (3 * PAGE, false));
         assert!(m.stacks[t].bytes.iter().all(|&b| b == 0));
     }
 
@@ -788,29 +917,33 @@ mod tests {
     /// The pre-page-backing formula: segment lengths plus a whole
     /// `STACK_SIZE` per stack chunk written since the last reset.
     fn old_resident_bytes(m: &Memory, flat: &Flat) -> u64 {
-        let segments = m.low.len() + m.globals.len() + m.input.len() + m.heap.len();
+        let segments = m.low.len + m.globals.len + m.input.len + m.heap.len;
         segments as u64 + flat.touched.iter().filter(|&&t| t).count() as u64 * STACK_SIZE
     }
 
     /// A seeded address near one of the layout's interesting spots:
-    /// segment starts, region boundaries, the chunk boundary between
-    /// the two stacks, stack tops (where frames live and the backing's
-    /// low-water mark moves) and the very top of memory.
+    /// segment starts, segment page boundaries, region boundaries, the
+    /// chunk boundary between the two stacks, stack tops (where frames
+    /// live and the backing's low-water mark moves) and the very top of
+    /// memory.
     fn hot_addr(rng: &mut DetRng, m: &Memory) -> u64 {
         let top = m.size();
         let near = |rng: &mut DetRng, at: u64, span: u64| at - span + rng.below(2 * span);
-        match rng.below(9) {
+        match rng.below(12) {
             0 => LOW_BASE + rng.below(64),
             1 => GLOBAL_BASE + rng.below(96),
             2 => near(rng, HEAP_BASE, 24),
             3 => HEAP_BASE + rng.below(8192),
             4 => near(rng, m.stacks_base, 24),
             5 => near(rng, m.stack_top(1), 24),
-            6 => m.stack_top(1) - 1 - rng.below(6 * STACK_PAGE as u64),
+            6 => m.stack_top(1) - 1 - rng.below(6 * PAGE as u64),
             7 => {
-                let depth = if rng.below(16) == 0 { STACK_SIZE } else { 5 * STACK_PAGE as u64 };
+                let depth = if rng.below(16) == 0 { STACK_SIZE } else { 5 * PAGE as u64 };
                 top - 1 - rng.below(depth)
             }
+            8 => near(rng, GLOBAL_BASE + PAGE as u64, 24),
+            9 => near(rng, INPUT_BASE + PAGE as u64, 24),
+            10 => near(rng, HEAP_BASE + 2 * PAGE as u64, 24),
             _ => top - rng.below(24),
         }
     }
@@ -879,6 +1012,7 @@ mod tests {
             let mut flat = Flat::new(&m, &globals, &input);
             drive(&mut rng, &mut m, &mut flat, 1500);
             assert_same_bytes(&m, &flat);
+            let mut stale = m.clone();
             m.reset_stacks();
             flat.reset_stacks();
             assert_eq!(m.resident_bytes(), old_resident_bytes(&m, &flat));
@@ -895,6 +1029,81 @@ mod tests {
             drive(&mut rng2, &mut m2, &mut flat2, 1000);
             assert_same_bytes(&m, &flat);
             assert_same_bytes(&m2, &flat2);
+            // Refreshing a stale clone gives the same as a new clone,
+            // and it then diverges just as independently.
+            stale.clone_from(&m2);
+            assert!(stale == m2);
+            let mut flat3 = flat2.clone();
+            let mut rng3 = DetRng::seed_from_u64(0xF20 + seed);
+            drive(&mut rng3, &mut stale, &mut flat3, 1000);
+            drive(&mut rng2, &mut m2, &mut flat2, 1000);
+            assert_same_bytes(&stale, &flat3);
+            assert_same_bytes(&m2, &flat2);
+        }
+    }
+
+    /// Stores that cross a page boundary in every segment and in a
+    /// stack chunk, and one inside a page.
+    fn page_spots(m: &Memory) -> [u64; 6] {
+        let crossing = |base: u64| base + PAGE as u64 - 4;
+        [
+            crossing(LOW_BASE),
+            crossing(GLOBAL_BASE),
+            crossing(INPUT_BASE),
+            crossing(HEAP_BASE),
+            m.stack_top(1) - PAGE as u64 - 4,
+            GLOBAL_BASE + 1,
+        ]
+    }
+
+    #[test]
+    fn writes_after_a_clone_stay_private() {
+        let (old, new) = (0x1111_1111_1111_1111, 0x2222_2222_2222_2222);
+        let mut m = mem();
+        for a in page_spots(&m) {
+            m.store(a, 8, old).unwrap();
+        }
+        for a in page_spots(&m) {
+            for refresh in [false, true] {
+                let mut c = if refresh {
+                    let mut c = mem();
+                    c.clone_from(&m);
+                    c
+                } else {
+                    m.clone()
+                };
+                assert!(c == m);
+                // The copy's write stays in the copy ...
+                c.store(a, 8, new).unwrap();
+                assert_eq!((m.load(a, 8), c.load(a, 8)), (Ok(old), Ok(new)), "{a:#x}");
+                // ... and the original's in the original.
+                let mut d = c.clone();
+                c.store(a, 8, old).unwrap();
+                assert_eq!((c.load(a, 8), d.load(a, 8)), (Ok(old), Ok(new)), "{a:#x}");
+                assert!(c == m, "a copied page holding the same bytes compares equal");
+                d.clone_from(&c);
+                assert!(d == m);
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_reshares_every_page() {
+        let mut m = mem();
+        m.fill(GLOBAL_BASE, 7, 64 * 1024).unwrap();
+        m.fill(HEAP_BASE, 9, 16 * 1024).unwrap();
+        let mut snap = m.clone();
+        m.store(GLOBAL_BASE + 5 * PAGE as u64, 8, 1).unwrap();
+        m.store(HEAP_BASE + 80 * PAGE as u64, 8, 1).unwrap(); // grows the heap
+        let shared = |a: &Segment, b: &Segment| a.pages.iter().zip(&b.pages).all(|(x, y)| Arc::ptr_eq(x, y));
+        assert!(!shared(&snap.globals, &m.globals) && snap.heap.len < m.heap.len);
+        snap.clone_from(&m);
+        assert!(snap == m);
+        for (a, b) in
+            [(&snap.low, &m.low), (&snap.globals, &m.globals), (&snap.input, &m.input), (&snap.heap, &m.heap)]
+        {
+            assert_eq!((a.len, a.pages.len()), (b.len, b.pages.len()));
+            assert!(shared(a, b));
         }
     }
 }
