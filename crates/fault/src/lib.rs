@@ -348,10 +348,9 @@ pub fn inject_once(
 /// The suffix handed to [`replay_suffix`] consists of requests that
 /// already committed on the original machine, so a non-clean outcome
 /// means the machine being replayed onto is *not* the snapshot the
-/// suffix extends — a corrupted standby, a stale clone, a wrong entry.
-/// Callers with a fallback (the serving runtime's warm-replica rebuild
-/// degrades to cold restart-from-snapshot) match on this instead of
-/// aborting the whole run.
+/// suffix extends — a stale clone, a wrong entry. The error names the
+/// failing payload and its outcome, so a caller that `expect`s a clean
+/// replay panics with both.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ReplayError {
     /// Zero-based position of the failing payload among the *kept*
@@ -383,11 +382,14 @@ impl std::error::Error for ReplayError {}
 /// ([`run_plans`]): a shard that snapshots every K requests does not
 /// hold the pre-request state of an arbitrary request — on a crash (or
 /// to build a fault twin) it restores the last snapshot and replays the
-/// committed-but-unsnapshotted suffix. Because the machine is
-/// deterministic and shards commit only reference executions, the
-/// replayed state is bit-identical to the state the resident machine
-/// reached by serving those requests live, whatever batching produced
-/// it.
+/// committed-but-unsnapshotted suffix. The machine is deterministic
+/// and shards commit only reference executions, so the replay leaves
+/// the resident table bytes the live machine reached by serving those
+/// requests, whatever batching produced them. The replayed machine is
+/// equal to the live one only if the live machine ran the same entry:
+/// a request served in a batch ran the batch entry over a
+/// count-prefixed input, which leaves another input segment and cache
+/// state.
 ///
 /// # Errors
 /// Returns a [`ReplayError`] if a replayed request does not exit

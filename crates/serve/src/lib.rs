@@ -38,8 +38,9 @@
 //!    admission, so goodput — served requests that met their deadline —
 //!    tracks offered load instead of collapsing;
 //! 7. with [`ServeConfig::replicas`] every shard keeps a *warm
-//!    standby* mirroring the committed log in the background: a
-//!    Crashed-class outcome promotes it in
+//!    standby*, a copy of the primary refreshed after every committed
+//!    operation and charged that operation's cycles in the background:
+//!    a Crashed-class outcome promotes it in
 //!    [`FAILOVER_CYCLES`] instead of a restart+replay
 //!    queue stall; [`ServeConfig::compaction`] truncates the elastic
 //!    path's committed log at the fleet-minimum snapshot mark; and
@@ -188,9 +189,11 @@ pub struct ServeConfig {
     /// at admission and can push requests past the deadline — the SLO
     /// accounting reports such misses rather than hiding them.
     pub shed_slo: bool,
-    /// Keep a *warm standby* per shard: a second machine that mirrors
-    /// every committed operation in the background. A Crashed-class
-    /// outcome then promotes the standby in
+    /// Keep a *warm standby* per shard: a copy of the primary,
+    /// refreshed after every committed operation and charged the
+    /// cycles the primary spent on it as background mirror cost (what
+    /// re-executing the operation on the standby would cost). A
+    /// Crashed-class outcome then promotes the standby in
     /// [`FAILOVER_CYCLES`] instead of stalling the queue
     /// for [`RESTART_CYCLES`] + suffix replay; the restart+replay detour
     /// still runs, but in background time, rebuilding the new standby

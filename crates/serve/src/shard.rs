@@ -63,7 +63,9 @@
 //! remembers the payloads applied since (`suffix`). Everything that
 //! needs historical state is built from that machinery alone:
 //!
-//! * a *fault twin* is `snapshot.clone()` + [`elzar_fault::replay_suffix`];
+//! * a *fault twin* is `snapshot.clone()` + [`elzar_fault::replay_suffix`]:
+//!   it holds the live pre-request table bytes, not the live machine
+//!   (the replay runs the solo entry where the shard ran batches);
 //! * a *crashed* outcome restarts the shard the same way, the detour
 //!   charged as downtime;
 //! * a *joining shard* (elastic scale-up) is `donor.snapshot.clone()` +
@@ -75,8 +77,9 @@
 //! The runtime tracks, per partition slot, how many committed requests
 //! the machine has applied (`applied`), so a migration replays exactly
 //! the delta between the receiving machine's state and the global
-//! committed log — bit-for-bit reconstruction, because execution is
-//! deterministic and requests only touch state owned by their own key.
+//! committed log: the migrated keys' table entries come out exactly as
+//! the donor holds them, because execution is deterministic and
+//! requests only touch state owned by their own key.
 //!
 //! ## Online fault accounting (reference-committed)
 //!
@@ -97,16 +100,14 @@
 //! ## Warm replicas, failover and divergence checking
 //!
 //! With [`ServeConfig::replicas`] each shard keeps a *warm standby*: a
-//! second machine that mirrors every committed operation in the
-//! background (same solo re-entries, same batched entries), so its
-//! state is bit-identical to the primary's at every commit boundary.
-//! On a Crashed-class outcome the standby is promoted in
-//! [`FAILOVER_CYCLES`] and re-runs the crashed request;
-//! the old primary becomes the new standby and the restart+replay
-//! detour moves to background time (`rebuild_cycles`). Because both
-//! machines apply the identical committed sequence, promotion changes
-//! *timing only* — outcome counts and digests stay bit-identical with
-//! replicas on or off.
+//! copy of the primary, refreshed after every committed operation and
+//! charged the cycles the primary spent on it — what re-running the
+//! operation on it would cost, since execution is deterministic. On a
+//! Crashed-class outcome the standby, still at the pre-request
+//! boundary, is promoted in [`FAILOVER_CYCLES`] and billed the clean
+//! re-run; the restart+replay detour moves to background time
+//! (`rebuild_cycles`). Promotion changes *timing only* — outcome counts
+//! and digests stay bit-identical with replicas on or off.
 //!
 //! The replica also powers a second, independent SDC detector
 //! ([`ServeConfig::divergence_check_interval`]): every injected
@@ -122,7 +123,7 @@ use crate::histogram::LatencyHistogram;
 use crate::{fnv_fold, ServeConfig, FNV_OFFSET};
 use elzar_apps::{kv, ServeApp};
 use elzar_fault::{inject_probe, replay_suffix, replay_suffix_where, GoldenRun, OutcomeClass, HANG_FACTOR};
-use elzar_obs::{debug, vt_add, vt_mul, Category, CycleLedger, EventKind, Tracer};
+use elzar_obs::{vt_add, vt_mul, Category, CycleLedger, EventKind, Tracer};
 use elzar_rng::{splitmix64, DetRng};
 use elzar_vm::{Machine, Program, RunOutcome};
 use std::collections::VecDeque;
@@ -331,14 +332,12 @@ fn fault_rng_for(cfg: &ServeConfig, id: u64) -> Option<DetRng> {
 /// schedule: boot once, feed the whole routed stream.
 pub(crate) struct ShardRuntime<'p, 'a> {
     m: Machine<'p>,
-    /// Warm standby ([`ServeConfig::replicas`]): a second machine that
-    /// applies every committed payload in the background (mirroring the
-    /// primary's exact operations, so its state — memory *and*
-    /// microarchitectural — is bit-identical to the primary's at every
-    /// commit boundary). On a Crashed-class outcome it is promoted in
-    /// [`FAILOVER_CYCLES`] instead of the restart+replay detour.
-    /// `None` when replicas are off, or after an apply failure degraded
-    /// the shard back to cold-restart recovery.
+    /// Warm standby ([`ServeConfig::replicas`]): a copy of the primary
+    /// refreshed after every committed operation, so its state — memory
+    /// *and* microarchitectural — equals the primary's at every commit
+    /// boundary. On a Crashed-class outcome it is promoted in
+    /// [`FAILOVER_CYCLES`] instead of the restart+replay detour. `Some`
+    /// exactly when `cfg.replicas` is set.
     replica: Option<Machine<'p>>,
     /// Last periodic snapshot (boot state until the first one).
     snap: Machine<'p>,
@@ -514,7 +513,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
             delta.len() as u64,
         );
         self.clock = vt_add("shard migration clock", self.clock, cycles);
-        self.mirror_replay(&delta, app);
+        self.mirror(cycles);
         self.suffix.extend(delta);
         self.maybe_snapshot(cfg);
     }
@@ -545,7 +544,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
             .expect("committed log entries replay cleanly during catch-up");
         self.stats.ledger.charge(Category::Catchup, cycles);
         self.tracer.record(EventKind::Catchup, self.clock, cycles, delta.len() as u64, 0);
-        self.mirror_replay(&delta, app);
+        self.mirror(cycles);
         self.suffix.extend(delta);
         self.maybe_snapshot(cfg);
     }
@@ -648,51 +647,25 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
         }
     }
 
-    /// Apply one committed operation on the warm standby — the
-    /// background replication step that keeps the replica bit-identical
-    /// to the primary at every commit boundary. `enter` re-enters the
-    /// standby exactly as the primary was entered (the solo request
-    /// entry, or the batched entry over the same segment, so the
-    /// standby's state, cache included, tracks the primary's); the run
-    /// is charged as mirror cost. A standby that cannot apply the
-    /// committed log is useless: degrade the shard to cold-restart
-    /// recovery instead of aborting the run.
-    fn mirror(&mut self, what: &str, enter: impl FnOnce(&mut Machine<'p>)) {
-        let Some(replica) = self.replica.as_mut() else { return };
-        enter(replica);
-        let outcome = replica.run_to_completion();
-        if matches!(outcome, RunOutcome::Exited(_)) {
-            self.stats.ledger.charge(Category::Mirror, replica.result(outcome).cycles.max(1));
-        } else {
-            self.replica = None;
-            debug::emit("serve", || {
-                format!("shard {} degraded: standby {what} apply failed", self.stats.shard)
-            });
-        }
-    }
-
-    /// Mirror a migration/catch-up replay delta on the warm standby.
-    /// This is where the typed [`elzar_fault::ReplayError`] earns its
-    /// keep: a failed standby apply degrades to cold-restart recovery
-    /// rather than panicking the whole run.
-    fn mirror_replay(&mut self, payloads: &[&[u8]], app: &ServeApp) {
-        let Some(replica) = self.replica.as_mut() else { return };
-        match replay_suffix(replica, app.request_entry, payloads) {
-            Ok(cycles) => self.stats.ledger.charge(Category::Mirror, cycles),
-            Err(e) => {
-                self.replica = None;
-                debug::emit("serve", || {
-                    format!("shard {} degraded: standby replay failed ({e})", self.stats.shard)
-                });
-            }
+    /// Bring the warm standby to the commit boundary the primary just
+    /// reached: copy the primary and charge `cycles`, what the primary
+    /// spent on the committed operation, as mirror cost. The standby
+    /// held the primary's pre-operation state and execution is
+    /// deterministic, so applying the same operation on it would cost
+    /// exactly `cycles` and leave exactly the primary's state.
+    fn mirror(&mut self, cycles: u64) {
+        if let Some(replica) = self.replica.as_mut() {
+            replica.clone_from(&self.m);
+            self.stats.ledger.charge(Category::Mirror, cycles);
         }
     }
 
     /// Periodic primary-vs-replica divergence check
     /// ([`ServeConfig::divergence_check_interval`]): every N commits,
     /// compare both machines' resident-table digests. Agreement is the
-    /// expected steady state — both apply the same committed sequence —
-    /// so an alarm means the replication path itself broke.
+    /// expected steady state — the standby is refreshed from the primary
+    /// at every commit — so an alarm means the replication path itself
+    /// broke.
     fn maybe_divergence_check(&mut self, app: &ServeApp, cfg: &ServeConfig, committed_n: u64) {
         if cfg.divergence_check_interval == 0 || app.table_base == 0 {
             return;
@@ -836,7 +809,9 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                     self.observe_marginal(clean.cycles.max(1));
 
                     let mut service = clean.cycles.max(1);
-                    let mut mirrored = false;
+                    // What mirroring this request costs the standby;
+                    // nothing once a promotion has re-run it there.
+                    let mut mirror_cycles = clean.cycles.max(1);
                     // Recovery cycles inside `service` (charged to
                     // downtime/replay, not execute).
                     let mut detour = 0u64;
@@ -890,29 +865,21 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                         service = match o.class() {
                             OutcomeClass::Crashed => {
                                 self.stats.restarts += 1;
-                                if let Some(replica) = self.replica.as_mut() {
+                                if self.replica.is_some() {
                                     // Warm failover: the standby — at
-                                    // the pre-request commit boundary —
-                                    // is promoted in `FAILOVER_CYCLES`
-                                    // and re-runs the request (the SEU
-                                    // does not recur). The old primary,
-                                    // which already holds the committed
-                                    // request from the reference
-                                    // execution, becomes the new
-                                    // standby; the restart+replay
-                                    // detour still happens, but in the
-                                    // background, rebuilding state no
-                                    // client is waiting on.
-                                    replica.reenter(app.request_entry, &req.payload);
-                                    let ro = replica.run_to_completion();
-                                    assert!(
-                                        matches!(ro, RunOutcome::Exited(_)),
-                                        "request {} must exit cleanly on the promoted standby, got {ro:?}",
-                                        req.id
-                                    );
-                                    let rerun = replica.result(ro).cycles.max(1);
-                                    std::mem::swap(&mut self.m, replica);
-                                    mirrored = true;
+                                    // the pre-request commit boundary,
+                                    // where the reference execution
+                                    // started — is promoted in
+                                    // `FAILOVER_CYCLES` and re-runs the
+                                    // request (the SEU does not recur)
+                                    // in the clean cycles, ending in
+                                    // the primary's state; it is
+                                    // refreshed by copy below. The
+                                    // restart+replay detour still
+                                    // happens, but in the background,
+                                    // rebuilding state no client is
+                                    // waiting on.
+                                    mirror_cycles = 0;
                                     self.stats.promotions += 1;
                                     self.stats.ledger.charge(Category::Downtime, FAILOVER_CYCLES);
                                     self.stats.ledger.charge(Category::Rebuild, RESTART_CYCLES + replay);
@@ -926,7 +893,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                                         req.id,
                                         0,
                                     );
-                                    faulty.cycles.max(1) + FAILOVER_CYCLES + rerun
+                                    faulty.cycles.max(1) + FAILOVER_CYCLES + clean.cycles.max(1)
                                 } else {
                                     // Detected crash/hang, no standby:
                                     // production restores the snapshot,
@@ -960,9 +927,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                     self.suffix.push(&req.payload);
                     self.applied[slot_of(req.key) as usize] += 1;
                     committed.push(req);
-                    if !mirrored {
-                        self.mirror("solo", |r| r.reenter(app.request_entry, &req.payload));
-                    }
+                    self.mirror(mirror_cycles);
                     self.maybe_divergence_check(app, cfg, 1);
                     k += 1;
                 } else {
@@ -1012,7 +977,7 @@ impl<'p, 'a> ShardRuntime<'p, 'a> {
                         self.applied[slot_of(req.key) as usize] += 1;
                         committed.push(req);
                     }
-                    self.mirror("batch", |r| r.reenter_batch(app.batch_entry, &parts));
+                    self.mirror(cycles);
                     self.maybe_divergence_check(app, cfg, seg.len() as u64);
                     k = end;
                 }
@@ -1065,4 +1030,197 @@ pub(crate) fn drain_shard(
     let mut rt = ShardRuntime::boot(image, cfg, shard);
     rt.feed(requests, app, cfg);
     rt.into_output(app, &|key| shard_of(key, shards) == shard)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Service;
+    use elzar::{Artifact, Mode};
+    use elzar_apps::Scale;
+    use elzar_obs::Trace;
+
+    fn kv_build() -> (ServeApp, Artifact) {
+        let app = Service::KvA.app(Scale::Tiny);
+        let artifact = Artifact::build(&app.module, &Mode::elzar_default());
+        (app, artifact)
+    }
+
+    /// One shard under a ~30% SEU storm with an unbounded queue, so
+    /// every request commits.
+    fn storm(batch_size: u32, replicas: bool) -> ServeConfig {
+        ServeConfig {
+            shards: 1,
+            batch_size,
+            replicas,
+            requests: 200,
+            seed: 0xFA11_0EE5,
+            fault_rate_ppm: 300_000,
+            queue_capacity: 1 << 20,
+            mean_gap_cycles: 300,
+            ..Default::default()
+        }
+    }
+
+    /// Split `reqs` before every fault-scheduled request. Fed chunk by
+    /// chunk, the runtime sits at each such request's pre-request
+    /// boundary between two feeds.
+    fn split_before_faults<'r>(cfg: &ServeConfig, reqs: &'r [&'r Request]) -> Vec<&'r [&'r Request]> {
+        let mut chunks = Vec::new();
+        let mut from = 0;
+        for i in 1..reqs.len() {
+            if fault_rng_for(cfg, reqs[i].id).is_some() {
+                chunks.push(&reqs[from..i]);
+                from = i;
+            }
+        }
+        chunks.push(&reqs[from..]);
+        chunks
+    }
+
+    /// Run an entered machine to a clean exit; its cycles as the
+    /// runtime charges them.
+    fn run_clean(m: &mut Machine<'_>) -> u64 {
+        let o = m.run_to_completion();
+        assert!(matches!(o, RunOutcome::Exited(_)), "committed operation must exit cleanly, got {o:?}");
+        m.result(o).cycles.max(1)
+    }
+
+    /// A fault twin (the last snapshot plus the replayed suffix) holds
+    /// the live machine's resident table bytes at the request's
+    /// pre-request boundary, whether the live machine served the suffix
+    /// batched or one request at a time. Only the table is asserted: the
+    /// replay runs the single-request entry where the live machine ran
+    /// the batch entry, so the two machines differ elsewhere.
+    #[test]
+    fn fault_twins_hold_the_live_table_bytes() {
+        let (app, artifact) = kv_build();
+        for batch_size in [1, 8] {
+            let cfg = storm(batch_size, false);
+            let stream = Service::KvA.stream(&app, &cfg);
+            let reqs: Vec<&Request> = stream.iter().collect();
+            let image = boot_image(artifact.program(), &app, &cfg);
+            let mut rt = ShardRuntime::boot(&image, &cfg, 0);
+            let mut replayed_twins = 0;
+            for chunk in split_before_faults(&cfg, &reqs) {
+                if fault_rng_for(&cfg, chunk[0].id).is_some() {
+                    let mut twin = rt.snap.clone();
+                    replay_suffix(&mut twin, app.request_entry, &rt.suffix).expect("suffix replays");
+                    assert_eq!(
+                        table_digest_of(&twin, &app),
+                        table_digest_of(&rt.m, &app),
+                        "batch_size {batch_size}: twin of request {} holds other table bytes",
+                        chunk[0].id
+                    );
+                    replayed_twins += usize::from(!rt.suffix.is_empty());
+                }
+                rt.feed(chunk, &app, &cfg);
+            }
+            assert_eq!(rt.stats.served, cfg.requests, "batch_size {batch_size}: every request commits");
+            assert!(rt.stats.injected > 20, "batch_size {batch_size}: {} injections", rt.stats.injected);
+            assert!(replayed_twins > 20, "batch_size {batch_size}: {replayed_twins} twins replayed a suffix");
+            if batch_size > 1 {
+                let solo = rt.stats.outcomes.iter().sum::<u64>();
+                assert!(rt.stats.batches < cfg.requests - solo, "batch_size {batch_size}: nothing batched");
+            }
+        }
+    }
+
+    /// The warm standby is a copy of the primary; this test keeps the
+    /// re-execution it replaced as an oracle. For every committed
+    /// operation (a solo request, a fault-free batch, a promotion, an
+    /// absorption and a catch-up delta) it re-runs the operation on a
+    /// clone of the pre-operation primary, and requires that machine to
+    /// equal the copied standby and its cycles to equal the mirror
+    /// charge, or for a promotion the re-run the request was billed.
+    #[test]
+    fn standby_copy_equals_re_execution() {
+        let (app, artifact) = kv_build();
+        let cfg = ServeConfig { snapshot_interval: 1 << 20, trace_events: 1 << 16, ..storm(4, true) };
+        // Everything arrives at once, so each fault-free chunk below
+        // forms exactly one batch.
+        let mut stream = Service::KvA.stream(&app, &cfg);
+        for r in &mut stream {
+            r.arrival = 0;
+        }
+        let reqs: Vec<&Request> = stream.iter().collect();
+        let image = boot_image(artifact.program(), &app, &cfg);
+        let mut rt = ShardRuntime::boot(&image, &cfg, 0);
+        let mirror_of = |rt: &ShardRuntime<'_, '_>| rt.stats.ledger.get(Category::Mirror);
+        let check = |rt: &ShardRuntime<'_, '_>, oracle: &Machine<'_>, what: &str| {
+            let standby = rt.replica.as_ref().expect("replicas on");
+            assert!(oracle.state_matches(standby), "{what}: re-execution and copy differ");
+        };
+        let (mut solos, mut batches, mut promotions) = (0, 0, 0);
+        let mut committed: Vec<&Request> = Vec::new();
+        for seg in split_before_faults(&cfg, &reqs) {
+            let (head, rest) = seg.split_at(usize::from(fault_rng_for(&cfg, seg[0].id).is_some()));
+            for chunk in std::iter::once(head).filter(|h| !h.is_empty()).chain(rest.chunks(4)) {
+                let mut oracle = rt.m.clone();
+                let (mirror0, promoted0) = (mirror_of(&rt), rt.stats.promotions);
+                committed.extend(rt.feed(chunk, &app, &cfg));
+                let charged = mirror_of(&rt) - mirror0;
+                let id = chunk[0].id;
+                if fault_rng_for(&cfg, id).is_some() {
+                    oracle.reenter(app.request_entry, &chunk[0].payload);
+                    let rerun = run_clean(&mut oracle);
+                    if rt.stats.promotions > promoted0 {
+                        let trace = Trace::merge([rt.tracer.clone()]);
+                        let end_of = |kind| {
+                            let e = trace.events.iter().find(|e| e.kind == kind && e.a == id).unwrap();
+                            e.cycle + e.dur
+                        };
+                        let billed = end_of(EventKind::Execute) - end_of(EventKind::Failover);
+                        assert_eq!(billed, rerun, "promotion of request {id}: billed re-run");
+                        assert_eq!(charged, 0, "promotion of request {id}: no mirror charge");
+                        promotions += 1;
+                    } else {
+                        assert_eq!(charged, rerun, "solo request {id}: mirror charge");
+                        solos += 1;
+                    }
+                    check(&rt, &oracle, &format!("request {id}"));
+                } else {
+                    let parts: Vec<&[u8]> = chunk.iter().map(|r| &*r.payload).collect();
+                    oracle.reenter_batch(app.batch_entry, &parts);
+                    assert_eq!(charged, run_clean(&mut oracle), "batch at request {id}: mirror charge");
+                    check(&rt, &oracle, &format!("batch at request {id}"));
+                    batches += usize::from(chunk.len() > 1);
+                }
+            }
+        }
+        assert_eq!(rt.stats.served, cfg.requests);
+        assert!(
+            solos > 10 && batches > 10 && promotions > 0,
+            "{solos} solos, {batches} batches, {promotions} promotions"
+        );
+
+        // Replay deltas: a committed log holding this shard's commits
+        // plus requests from another stream it never applied. The lower
+        // half of the slots is absorbed, the rest caught up.
+        let other = Service::KvA.stream(&app, &ServeConfig { seed: 7, requests: 60, ..cfg.clone() });
+        let mut log: Vec<Vec<&Request>> = vec![Vec::new(); PARTITION_SLOTS as usize];
+        for r in committed.iter().copied().chain(&other) {
+            log[slot_of(r.key) as usize].push(r);
+        }
+        let base = [0; PARTITION_SLOTS as usize];
+        for (what, slots) in [("absorb", u64::MAX >> 32), ("catch-up", u64::MAX)] {
+            let mut oracle = rt.m.clone();
+            let mut delta: Vec<&[u8]> = Vec::new();
+            for (s, entries) in log.iter().enumerate() {
+                if slots >> s & 1 == 1 {
+                    delta.extend(entries[rt.applied[s] as usize..].iter().map(|r| &*r.payload));
+                }
+            }
+            assert!(!delta.is_empty(), "{what}: empty delta");
+            let mirror0 = mirror_of(&rt);
+            if what == "absorb" {
+                rt.absorb(slots, &log, &base, &app, &cfg);
+            } else {
+                rt.catch_up(&log, &base, &app, &cfg);
+            }
+            let cycles = replay_suffix(&mut oracle, app.request_entry, &delta).expect("delta replays");
+            assert_eq!(mirror_of(&rt) - mirror0, cycles, "{what}: mirror charge");
+            check(&rt, &oracle, what);
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! * **Failover is a timing lever only.** Warm replicas change
 //!   availability and latency — never outcome counts, restarts or the
 //!   final KV digest — across {replicas on, off} × worker counts,
-//!   because the standby mirrors the exact committed sequence and
-//!   promotion swaps in a bit-identical machine.
+//!   because the standby is a copy of the primary at every commit
+//!   boundary and promotion only adds the failover charge.
 //! * **Compaction bounds the committed log.** With
 //!   [`ServeConfig::compaction`] the retained per-slot log never
 //!   exceeds one snapshot interval, while outcomes and the digest stay

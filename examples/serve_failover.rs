@@ -3,10 +3,11 @@
 //!
 //! 1. **restart-only** — every Crashed-class outcome stalls the shard
 //!    for `elzar_serve::RESTART_CYCLES` + suffix replay while its queue waits;
-//! 2. **warm-replica** — a standby mirrors the committed log in the
-//!    background and is promoted in `elzar_serve::FAILOVER_CYCLES` on each crash;
-//!    the restart+replay detour still runs, but in background time,
-//!    rebuilding the new standby.
+//! 2. **warm-replica** — a standby, copied from the primary after every
+//!    committed operation and charged that operation's cycles in the
+//!    background, is promoted in `elzar_serve::FAILOVER_CYCLES` on each
+//!    crash; the restart+replay detour still runs, but in background
+//!    time, rebuilding the new standby.
 //!
 //! Outcome counts, crash counts and the final table digest are
 //! bit-identical — failover is purely a timing/availability lever —
